@@ -15,9 +15,13 @@ ci: build vet lint test race
 build:
 	$(GO) build $(LDFLAGS) ./...
 
+# vet also fails on any file gofmt would rewrite.
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt: these files need formatting (run gofmt -w):"; echo "$$unformatted"; exit 1; \
+	fi
 
 # lint runs the project's own analyzer suite (cmd/ccsimlint: engine
 # determinism, sweep cache-key completeness, lock discipline, zero-alloc

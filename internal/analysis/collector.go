@@ -106,11 +106,10 @@ func (cc *ChannelCollector) ObserveEnqueue(coord memctrl.Coord, isRead bool, ban
 	}
 }
 
-// ObserveRowOutcome implements memctrl.Probe: the scheduler's
-// row-buffer classification of one request, bucketed by the request's
-// arrival cycle. Classification call time differs between the engines
-// (the event engine defers pure sweeps); the per-request outcome and
-// arrival stamp do not — which is also why the stream protocol is
+// ObserveRowOutcome implements memctrl.Probe: one request's row-buffer
+// outcome, fixed by the first command issued on its behalf, bucketed
+// by the request's arrival cycle. The outcome lands in an epoch that
+// may already have been streamed — which is why the stream protocol is
 // last-write-wins rather than epoch-sealed (see stream.go).
 //
 //ccsim:zeroalloc

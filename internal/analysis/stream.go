@@ -5,9 +5,10 @@ import (
 	"sort"
 )
 
-// Streaming protocol. The collector cannot seal epochs: the event
-// engine defers row-outcome classification (and clamps fold late events
-// into the oldest bucket), so a bucket emitted once may grow afterwards.
+// Streaming protocol. The collector cannot seal epochs: a row outcome
+// is counted when the request's first command issues but bucketed by
+// its arrival (and clamps fold late events into the oldest bucket), so
+// a bucket emitted once may grow afterwards.
 // Instead the stream is last-write-wins: whenever the epoch frontier
 // advances, every bucket touched since the previous flush is emitted
 // with its CURRENT value, and a consumer that replaces older copies by
@@ -54,7 +55,7 @@ type BankDelta struct {
 
 // noteEpoch tracks the stream's epoch frontier: the first event of a
 // newer epoch flushes everything dirtied before it. Events landing in
-// older epochs (deferred classification, clamps) just dirty their
+// older epochs (row outcomes of earlier arrivals, clamps) just dirty their
 // buckets and ride the next flush.
 func (c *Collector) noteEpoch(e uint64) {
 	if c.stream == nil {

@@ -44,7 +44,7 @@ type Config struct {
 	Observer Observer
 
 	// Probe, if non-nil, receives perf-analyzer events (queue-depth
-	// samples, row-outcome classifications); see probe.go. The hot path
+	// samples, row outcomes); see probe.go. The hot path
 	// pays one nil check per event when unset.
 	Probe Probe
 
@@ -108,9 +108,14 @@ type Stats struct {
 
 	Activations     uint64
 	FastActivations uint64
-	RowHits         uint64 // request found its row open
-	RowMisses       uint64 // request found the bank precharged
-	RowConflicts    uint64 // request found another row open
+
+	// Row-buffer outcomes, one per request, fixed by the first command
+	// issued on its behalf: a column command (the row was already open)
+	// is a hit, an ACT (the bank was precharged) a miss, a PRE (another
+	// row was open) a conflict.
+	RowHits      uint64
+	RowMisses    uint64
+	RowConflicts uint64
 
 	Refreshes uint64
 }
@@ -143,8 +148,8 @@ func (s Stats) ReadLatencyPercentile(p float64) float64 {
 	return float64(latencyBuckets * latencyBucketWidth)
 }
 
-// RowHitRate returns the fraction of classified requests that hit an
-// open row.
+// RowHitRate returns the fraction of counted row outcomes that were
+// hits.
 func (s Stats) RowHitRate() float64 {
 	total := s.RowHits + s.RowMisses + s.RowConflicts
 	if total == 0 {
@@ -181,22 +186,16 @@ type Controller struct {
 	nWrites    int
 	nextSeq    uint64 // next arrival sequence number
 
-	// unclassReads/unclassWrites hold requests whose row-buffer outcome
-	// has not been counted yet, in arrival order. The reference walk
-	// classified a request the first time the scheduler's queue scan
-	// reached it; these lists replay exactly that — each scheduling pass
-	// classifies the unclassified requests older than the pass's issue
-	// point against current bank state (see classifyHits/classifyRest).
-	unclassReads  []*Request
-	unclassWrites []*Request
-
 	drain bool
 
 	refresh []*refreshEngine // per rank
 
 	// closeIntent marks banks the closed-row policy wants to precharge
-	// (indexed rank*banks+bank); closeIntents counts the marks so the
-	// event scan knows precharge work is still outstanding.
+	// once no queued request wants their open row (indexed
+	// rank*banks+bank): set when a column command serves the last queued
+	// request for the row, cleared by whichever PRE closes the bank.
+	// closeIntents counts the marks so the event scan knows precharge
+	// work may be outstanding.
 	closeIntent  []bool
 	closeIntents int
 
@@ -218,34 +217,14 @@ type Controller struct {
 	needScan bool
 	scanFrom dram.Cycle
 
-	// pendingSweep records that the reference stepper's next tick would
-	// be a pure classification sweep (nothing issuable, no completion or
-	// refresh due): the sweep is deferred until this controller's next
-	// Tick — bank state cannot change in between, so the outcome is
-	// identical — or canceled by an arrival, whose forced tick replays
-	// the stepper's walk (any issue it enables is younger than every
-	// deferred request, so the walk's cut still classifies them all).
-	// pendingSweepAt is the bus cycle of the stepper tick being stood in
-	// for, so a run ending before it can discard the sweep exactly when
-	// the stepper would never have performed it (see FinishSweeps).
-	pendingSweep   bool
-	pendingSweepAt dram.Cycle
-
 	// schedEpoch increments whenever the inputs of nextIssueTime can
 	// have changed: a command issued (registers, bank states, close
-	// intents) or a request arrived (queues, projected drain mode).
+	// intents, drain mode) or a request arrived (queues).
 	// Completion deliveries leave them untouched, so delivery ticks
 	// reuse the cached value.
 	schedEpoch     uint64
 	issueTimeEpoch uint64
 	issueTimeCache dram.Cycle
-
-	// eventDriven enables the wake-estimate bookkeeping (the exact
-	// next-issue-time computation and the classification sweep that
-	// lets the event engine skip pure-sweep cycles). The reference
-	// stepper never reads NextEvent, so it never pays for estimate
-	// work — the same principle that keeps the event scan lazy.
-	eventDriven bool
 
 	stats Stats
 	now   dram.Cycle
@@ -316,7 +295,6 @@ func (c *Controller) EnqueueRead(req *Request) bool {
 		pt = c.cfg.Profiler.Begin(prof.Enqueue)
 		defer c.cfg.Profiler.End(prof.Enqueue, pt, int64(c.now))
 	}
-	c.settleSweep()
 	req.Arrive = c.now
 	req.seq = c.nextSeq
 	c.nextSeq++
@@ -324,7 +302,6 @@ func (c *Controller) EnqueueRead(req *Request) bool {
 	c.banks[idx].reads.push(req)
 	c.readBanks.set(idx)
 	c.nReads++
-	c.unclassReads = append(c.unclassReads, req)
 	c.dirty = true
 	c.schedEpoch++
 	if c.cfg.Probe != nil {
@@ -345,7 +322,6 @@ func (c *Controller) EnqueueWrite(req *Request) bool {
 		pt = c.cfg.Profiler.Begin(prof.Enqueue)
 		defer c.cfg.Profiler.End(prof.Enqueue, pt, int64(c.now))
 	}
-	c.settleSweep()
 	req.Arrive = c.now
 	req.seq = c.nextSeq
 	c.nextSeq++
@@ -353,7 +329,6 @@ func (c *Controller) EnqueueWrite(req *Request) bool {
 	c.banks[idx].writes.push(req)
 	c.writeBanks.set(idx)
 	c.nWrites++
-	c.unclassWrites = append(c.unclassWrites, req)
 	c.dirty = true
 	c.schedEpoch++
 	if c.cfg.Probe != nil {
@@ -364,33 +339,11 @@ func (c *Controller) EnqueueWrite(req *Request) bool {
 	return true
 }
 
-// settleSweep resolves a deferred classification sweep against an
-// arriving request. An arrival is first seen by the reference stepper's
-// walk at bus cycle now+1. If that is at or before the deferred sweep's
-// tick, the sweep as a separate action never happens in the reference —
-// its walk covers the old requests itself (an issue it enables is
-// younger than all of them, so the cut still classifies every old
-// open-row hit, and the FCFS pass or later ticks handle the rest
-// exactly as this engine's forced tick will): cancel. If the arrival
-// lands after the sweep's tick, the reference already swept, against
-// state that has not changed since: perform it now, before the new
-// request joins the lists.
-func (c *Controller) settleSweep() {
-	if !c.pendingSweep {
-		return
-	}
-	c.pendingSweep = false
-	if c.now >= c.pendingSweepAt {
-		c.sweepClassify(!nextDrain(c.drain, c.nReads, c.nWrites,
-			c.cfg.WriteHigh, c.cfg.WriteLow))
-	}
-}
-
 // SyncClock advances the controller's notion of "now" — the arrival
 // stamp given to enqueued requests — without running the scheduler.
-// The event-driven engine calls it before the core phase of every
-// executed cycle so arrival stamps match the reference stepper, whose
-// per-bus-cycle Tick keeps the clock current even when nothing issues.
+// The event-driven engine calls it wherever the reference stepper would
+// have ticked this controller (its per-bus-cycle Tick keeps the clock
+// current even when nothing issues), so arrival stamps match.
 func (c *Controller) SyncClock(bus dram.Cycle) {
 	if bus > c.now {
 		c.now = bus
@@ -399,7 +352,7 @@ func (c *Controller) SyncClock(bus dram.Cycle) {
 
 // NextEvent returns a lower bound on the next bus cycle at which a Tick
 // could change observable state: deliver a completion, issue a command,
-// or classify a request. Ticking the controller at (or before) every
+// or service a due refresh. Ticking the controller at (or before) every
 // cycle NextEvent reports, instead of every cycle, is behaviourally
 // identical to the reference stepper — intermediate ticks are no-ops.
 // Enqueues invalidate the cached estimate: new work may be issuable on
@@ -414,14 +367,6 @@ func (c *Controller) NextEvent() dram.Cycle {
 	}
 	return c.nextWake
 }
-
-// SetEventDriven declares that the caller schedules ticks through
-// NextEvent (the event-driven engine). It enables the exact
-// next-issue-time bookkeeping and the eager classification sweep that
-// let the engine skip cycles in which the reference stepper's walk only
-// classifies; a per-cycle (stepper) driver leaves it off and pays
-// nothing for estimates it never reads.
-func (c *Controller) SetEventDriven(v bool) { c.eventDriven = v }
 
 // NeedsTick reports whether a Tick at bus cycle bus could change state.
 // The event-driven engine consults it on executed cycles to skip
@@ -439,19 +384,12 @@ func (c *Controller) NeedsTick(bus dram.Cycle) bool {
 // which Tick refreshes as a side effect.
 func (c *Controller) Tick(now dram.Cycle) bool {
 	c.now = now
-	if c.pendingSweep {
-		// Stand in for the stepper's deferred classification sweep
-		// before anything else this tick can change: no arrival
-		// canceled it, so queues and bank state are exactly as that
-		// tick would have seen them.
-		c.pendingSweep = false
-		c.sweepClassify(!nextDrain(c.drain, c.nReads, c.nWrites,
-			c.cfg.WriteHigh, c.cfg.WriteLow))
-	}
 	arrived := c.dirty
 	c.dirty = false
 	c.cfg.Mechanism.Tick(now)
 	progressed := c.deliverCompletions(now)
+	// After delivery: its callbacks may enqueue writebacks here.
+	c.updateDrainMode()
 
 	issued := false
 	if busy, refIssued := c.serviceRefresh(now); busy {
@@ -459,65 +397,29 @@ func (c *Controller) Tick(now dram.Cycle) bool {
 		// is mid-preparation waiting on a timing expiry.
 		progressed = true
 		issued = refIssued
-	} else {
-		c.updateDrainMode()
-		switch {
-		case c.issueTimeEpoch == c.schedEpoch+1 && c.issueTimeCache > now:
-			// The cached exact next-issue time is ahead and still valid
-			// (no issue or arrival since it was computed, and computing
-			// it implies the classification walks have already swept
-			// everything pending): nothing to schedule this cycle.
-			// Delivery-only ticks take this path.
-		default:
-			issued = c.runScheduler(now)
-		}
+	} else if c.issueTimeEpoch != c.schedEpoch+1 || c.issueTimeCache <= now {
+		// Skipped while the cached exact next-issue time is valid (no
+		// issue or arrival since it was computed) and still ahead, as on
+		// delivery-only ticks: nothing can issue this cycle.
+		issued = c.runScheduler(now)
 		progressed = progressed || issued
 	}
 	if issued {
 		c.schedEpoch++
+		c.updateDrainMode()
 	}
-	// Only an issued command can force the very next cycle to run, and
-	// only while work remains queued: an issue mutates bank/bus state
-	// and cuts the scheduler's pick short, so a request behind the issue
-	// point may already be issuable at now+1. The exact next-issue time,
-	// read off the per-bank registers, settles it: at or before now+1,
-	// the next cycle must execute; later, the only thing the reference
-	// stepper's intervening ticks do is classify — that sweep is
-	// performed here against the identical bank state, and the wake-up
-	// comes from the event scan. Completion delivery and
-	// refresh-preparation stalls never force now+1 — but they do
-	// invalidate the cached estimate. Fresh arrivals (dirty) always
-	// force now+1.
+	// Fresh arrivals (dirty) force the next cycle, and so does an issue
+	// during a refresh-preparation stall: the next forced PRE (or the
+	// REF) may already be legal, having lost only this cycle's command
+	// slot, and the stall's event scan sees only register expiries.
+	// Everything else comes from the event scan.
 	wake := c.dirty
 	if issued && !wake {
-		work := c.nReads > 0 || c.nWrites > 0 || c.closeIntents > 0
-		pendingRefresh := false
 		for _, eng := range c.refresh {
-			// A refresh due at now+1 blocks the stepper's next
-			// scheduling pass before it can classify: the eager sweep
-			// below would run against pre-refresh bank state while the
-			// stepper classifies only after the refresh's forced
-			// precharges. Execute the next cycle instead.
-			if eng.pending || now+1 >= eng.nextDue {
-				pendingRefresh = true
+			if eng.pending {
+				wake = true
 				break
 			}
-		}
-		switch {
-		case !work && !pendingRefresh:
-		case !c.eventDriven || pendingRefresh:
-			// The stepper ticks every cycle regardless; a mid-stall
-			// refresh re-evaluates its preparation every cycle.
-			wake = true
-		case c.nextIssueTime() <= now+1:
-			wake = true
-		default:
-			// No command can issue at now+1: the stepper's next ticks
-			// only classify until the computed issue time. Defer that
-			// sweep to this controller's next tick (or cancel it on an
-			// arrival) and let the event scan place the wake-up.
-			c.pendingSweep = true
-			c.pendingSweepAt = now + 1
 		}
 	}
 	switch {
@@ -574,7 +476,13 @@ func (c *Controller) nextEventScan(now dram.Cycle) dram.Cycle {
 		return next
 	}
 	if c.nReads > 0 || c.nWrites > 0 || c.closeIntents > 0 {
-		add(c.nextIssueTime())
+		// A command already legal at now lost this tick's single
+		// command-bus slot (or arrived with it): it issues next cycle.
+		t := c.nextIssueTime()
+		if t <= now {
+			t = now + 1
+		}
+		add(t)
 	}
 	return next
 }
@@ -660,25 +568,16 @@ func (c *Controller) serviceRefresh(now dram.Cycle) (busy, issued bool) {
 	return false, false
 }
 
+// updateDrainMode re-evaluates write-drain mode from the queue depths:
+// drain at the high watermark, opportunistically whenever writes wait
+// and no read does, and keep draining until the low watermark. It is
+// idempotent — re-evaluating unchanged depths never flips the mode — so
+// the mode depends only on the depths at the points they change (an
+// arrival's forced tick, an issue), never on how many idle ticks ran.
 func (c *Controller) updateDrainMode() {
-	c.drain = nextDrain(c.drain, c.nReads, c.nWrites, c.cfg.WriteHigh, c.cfg.WriteLow)
-}
-
-// nextDrain is updateDrainMode as a pure function, so the next cycle's
-// mode can be projected without mutating (see nextIssueTime).
-func nextDrain(cur bool, reads, writes, high, low int) bool {
-	switch {
-	case writes >= high:
-		return true
-	case cur && writes <= low:
-		return false
-	case !cur && reads == 0 && writes > 0:
-		// Opportunistic drain when there is nothing else to do.
-		return true
-	case cur && writes == 0:
-		return false
-	}
-	return cur
+	w := c.nWrites
+	c.drain = w >= c.cfg.WriteHigh || (c.nReads == 0 && w > 0) ||
+		(c.drain && w > c.cfg.WriteLow)
 }
 
 // activeSet returns the bank bitmask of the queue kind being serviced.
@@ -689,50 +588,32 @@ func (c *Controller) activeSet(isRead bool) *bankSet {
 	return &c.writeBanks
 }
 
-// runScheduler performs one cycle of FR-FCFS scheduling: selection,
-// the classification the reference walk interleaves with it, and at
-// most one command issue. It reports whether a command issued.
+// runScheduler performs one cycle of FR-FCFS scheduling: selection and
+// at most one command issue. The first command issued on a request's
+// behalf fixes its row-buffer outcome. It reports whether a command
+// issued.
 func (c *Controller) runScheduler(now dram.Cycle) bool {
-	issued := false
 	isRead := !c.drain
 	pt := c.cfg.Profiler.Begin(prof.Select)
 	sel := c.schedule(isRead, now)
 	c.cfg.Profiler.End(prof.Select, pt, int64(now))
-	// The first-ready pass classifies the open-row hits up to its
-	// issue point whether or not it issues, exactly like the
-	// reference walk (which visited every request up to the cut).
-	cut := noSeq
-	if sel.hit != nil {
-		cut = sel.hit.seq
-	}
-	c.classifyHits(isRead, cut)
 	switch {
 	case sel.hit != nil:
+		c.classify(sel.hit, RowHit)
 		c.issueColumnAt(sel.hit, sel.hitIdx, sel.hitPos, isRead, now)
-		issued = true
 	case c.cfg.RowPolicy == ClosedRow && c.issueCloseIntent(now):
-		issued = true
+	case sel.old == nil:
+		return false
+	case sel.oldPre:
+		c.classify(sel.old, RowConflict)
+		c.issuePrecharge(dram.Pre(sel.old.Coord.Rank, sel.old.Coord.Bank), sel.oldRow, now)
 	default:
-		// FCFS pass: classify conflicts and misses up to its issue
-		// point, then issue the pick if there is one.
-		cut = noSeq
-		if sel.old != nil {
-			cut = sel.old.seq
+		if !c.issueActivate(sel.old, now) {
+			panic("memctrl: selected activate became illegal")
 		}
-		c.classifyRest(isRead, cut)
-		switch {
-		case sel.old == nil:
-		case sel.oldPre:
-			c.issuePrecharge(dram.Pre(sel.old.Coord.Rank, sel.old.Coord.Bank), sel.oldRow, now)
-			issued = true
-		default:
-			if !c.issueActivate(sel.old, now) {
-				panic("memctrl: selected activate became illegal")
-			}
-			issued = true
-		}
+		c.classify(sel.old, RowMiss)
 	}
-	return issued
+	return true
 }
 
 // sched is one cycle's FR-FCFS selection: the first-ready pick (the
@@ -838,79 +719,9 @@ func (c *Controller) schedule(isRead bool, now dram.Cycle) sched {
 	return out
 }
 
-// classifyHits counts the open-row hits among the not-yet-classified
-// requests with arrival sequence <= cut, exactly as the reference
-// flat-queue walk did: it visited every queued request up to (and
-// including) the issue point each cycle, counting those whose row was
-// open. Non-hits stay unclassified — the walk's second pass (or a later
-// cycle) counts them.
-func (c *Controller) classifyHits(isRead bool, cut uint64) {
-	lp := &c.unclassReads
-	if !isRead {
-		lp = &c.unclassWrites
-	}
-	l := *lp
-	if len(l) == 0 || l[0].seq > cut {
-		return
-	}
-	out := l[:0]
-	i := 0
-	for ; i < len(l); i++ {
-		req := l[i]
-		if req.seq > cut {
-			break
-		}
-		row, open := c.ch.OpenRow(req.Coord.Rank, req.Coord.Bank)
-		if open && row == req.Coord.Row {
-			c.classify(req, row, open)
-			continue
-		}
-		out = append(out, req)
-	}
-	out = append(out, l[i:]...)
-	for j := len(out); j < len(l); j++ {
-		l[j] = nil
-	}
-	*lp = out
-}
-
-// classifyRest counts conflicts and misses among the not-yet-classified
-// requests with arrival sequence <= cut, mirroring the reference walk's
-// second (FCFS) pass. Open-row hits cannot appear here: this runs only
-// when the first-ready pass issued nothing, which classified every
-// current hit.
-func (c *Controller) classifyRest(isRead bool, cut uint64) {
-	lp := &c.unclassReads
-	if !isRead {
-		lp = &c.unclassWrites
-	}
-	l := *lp
-	if len(l) == 0 || l[0].seq > cut {
-		return
-	}
-	out := l[:0]
-	i := 0
-	for ; i < len(l); i++ {
-		req := l[i]
-		if req.seq > cut {
-			break
-		}
-		row, open := c.ch.OpenRow(req.Coord.Rank, req.Coord.Bank)
-		if open && row == req.Coord.Row {
-			out = append(out, req)
-			continue
-		}
-		c.classify(req, row, open)
-	}
-	out = append(out, l[i:]...)
-	for j := len(out); j < len(l); j++ {
-		l[j] = nil
-	}
-	*lp = out
-}
-
-// issueCloseIntent precharges banks the closed-row policy marked, unless
-// a queued request now wants the open row again.
+// issueCloseIntent precharges a bank the closed-row policy marked,
+// unless a queued request now wants the open row again (the mark stays:
+// serving that request re-marks it anyway).
 func (c *Controller) issueCloseIntent(now dram.Cycle) bool {
 	if c.closeIntents == 0 {
 		return false
@@ -922,17 +733,11 @@ func (c *Controller) issueCloseIntent(now dram.Cycle) bool {
 		rank := idx / c.cfg.Spec.Geometry.Banks
 		bankID := idx % c.cfg.Spec.Geometry.Banks
 		row, open := c.ch.OpenRow(rank, bankID)
-		if !open {
-			c.clearCloseIntent(idx)
-			continue
-		}
-		if c.anyPendingFor(rank, bankID, row) {
-			c.clearCloseIntent(idx)
+		if !open || c.anyPendingFor(rank, bankID, row) {
 			continue
 		}
 		pre := dram.Pre(rank, bankID)
 		if c.ch.CanIssue(pre, now) && c.preUseful(rank, bankID, now) {
-			c.clearCloseIntent(idx)
 			c.issuePrecharge(pre, row, now)
 			return true
 		}
@@ -942,10 +747,10 @@ func (c *Controller) issueCloseIntent(now dram.Cycle) bool {
 
 // nextIssueTime returns the exact earliest cycle at which the
 // scheduler could issue a command, read off the per-bank next-allowed
-// registers: for every bank with queued work of the (projected) active
-// kind, the ready time of its first-ready candidate (oldest open-row
-// hit) and its FCFS candidate (conflict precharge or miss activate),
-// plus any closed-row precharge intents. Exact because nothing the
+// registers: for every bank with queued work of the active kind, the
+// ready time of its first-ready candidate (oldest open-row hit) and its
+// FCFS candidate (conflict precharge or miss activate), plus any
+// closed-row precharge intents. Exact because nothing the
 // computation depends on — queues, bank states, registers, drain mode —
 // can change before that cycle without an executed event (arrivals mark
 // the controller dirty, which overrides the estimate).
@@ -960,8 +765,7 @@ func (c *Controller) nextIssueTime() dram.Cycle {
 }
 
 func (c *Controller) computeNextIssueTime() dram.Cycle {
-	drain := nextDrain(c.drain, c.nReads, c.nWrites, c.cfg.WriteHigh, c.cfg.WriteLow)
-	isRead := !drain
+	isRead := !c.drain
 	set := c.activeSet(isRead)
 	geomBanks := c.cfg.Spec.Geometry.Banks
 	rp := dram.Cycle(c.cfg.Spec.Timing.RP)
@@ -1009,7 +813,7 @@ func (c *Controller) computeNextIssueTime() dram.Cycle {
 			bank := idx % geomBanks
 			row, open := c.ch.OpenRow(rank, bank)
 			if !open || c.anyPendingFor(rank, bank, row) {
-				continue // will be cleared, not issued
+				continue // held while a request wants the row
 			}
 			t := c.ch.PreIssueAt(rank, bank)
 			if u := c.ch.EarliestActivate(rank, bank) - rp; u > t {
@@ -1023,26 +827,6 @@ func (c *Controller) computeNextIssueTime() dram.Cycle {
 	return at
 }
 
-// sweepClassify classifies every not-yet-classified request of the
-// given kind against current bank state. It stands in for the reference
-// stepper's next tick when that tick provably issues nothing: such a
-// tick's two walks classify the whole active queue (no issue point cuts
-// them short), and since no command issues in between, the bank states
-// they observe are identical to the current ones.
-func (c *Controller) sweepClassify(isRead bool) {
-	lp := &c.unclassReads
-	if !isRead {
-		lp = &c.unclassWrites
-	}
-	l := *lp
-	for i, req := range l {
-		row, open := c.ch.OpenRow(req.Coord.Rank, req.Coord.Bank)
-		c.classify(req, row, open)
-		l[i] = nil
-	}
-	*lp = l[:0]
-}
-
 // preUseful reports whether precharging (rank, bank) now can shorten the
 // next activation. Precharging earlier than tRP before the bank's
 // same-bank ACT bound only sacrifices potential row hits: the reopen
@@ -1051,24 +835,21 @@ func (c *Controller) preUseful(rank, bankID int, now dram.Cycle) bool {
 	return now+dram.Cycle(c.cfg.Spec.Timing.RP) >= c.ch.EarliestActivate(rank, bankID)
 }
 
-// classify counts the row-buffer outcome of a request exactly once, at
-// the moment the scheduler first processes it.
-func (c *Controller) classify(req *Request, openRow int, open bool) {
+// classify counts a request's row-buffer outcome once, at the first
+// command issued on its behalf; later commands for it (the ACT after a
+// conflict PRE, the column after an ACT) do not recount.
+func (c *Controller) classify(req *Request, outcome RowOutcome) {
 	if req.classified {
 		return
 	}
 	req.classified = true
-	var outcome RowOutcome
-	switch {
-	case open && openRow == req.Coord.Row:
+	switch outcome {
+	case RowHit:
 		c.stats.RowHits++
-		outcome = RowHit
-	case open:
-		c.stats.RowConflicts++
-		outcome = RowConflict
-	default:
+	case RowMiss:
 		c.stats.RowMisses++
-		outcome = RowMiss
+	default:
+		c.stats.RowConflicts++
 	}
 	if c.cfg.Probe != nil {
 		c.cfg.Probe.ObserveRowOutcome(req.Coord, outcome, req.Arrive)
@@ -1099,6 +880,7 @@ func (c *Controller) issueActivate(req *Request, now dram.Cycle) bool {
 
 func (c *Controller) issuePrecharge(pre dram.Command, row int, now dram.Cycle) {
 	c.ch.Issue(pre, now)
+	c.clearCloseIntent(pre.Rank*c.cfg.Spec.Geometry.Banks + pre.Bank)
 	key := core.MakeRowKey(pre.Rank, pre.Bank, row)
 	c.cfg.Mechanism.OnPrecharge(key, now)
 	if c.cfg.Observer != nil {
@@ -1144,23 +926,6 @@ func (c *Controller) issueColumnAt(req *Request, idx, pos int, isRead bool, now 
 func (c *Controller) anyPendingFor(rank, bankID, row int) bool {
 	bq := &c.banks[rank*c.cfg.Spec.Geometry.Banks+bankID]
 	return bq.reads.anyFor(row) || bq.writes.anyFor(row)
-}
-
-// FinishSweeps applies a still-pending deferred classification sweep at
-// the end of a measurement window. lastBus is the last bus cycle the
-// reference stepper would have ticked (it ticks every bus cycle of the
-// window): a sweep deferred past it never happens in the reference
-// either and is discarded, keeping end-of-run classification counters
-// bit-identical.
-func (c *Controller) FinishSweeps(lastBus dram.Cycle) {
-	if !c.pendingSweep {
-		return
-	}
-	c.pendingSweep = false
-	if lastBus >= c.pendingSweepAt {
-		c.sweepClassify(!nextDrain(c.drain, c.nReads, c.nWrites,
-			c.cfg.WriteHigh, c.cfg.WriteLow))
-	}
 }
 
 // RefreshAge exposes the refresh engine's age for a row (tests, tools).

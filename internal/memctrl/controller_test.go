@@ -112,11 +112,33 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 		t.Fatal("first read never completed")
 	}
 	s := c.Stats()
-	if s.RowHits != 1 || s.RowMisses != 1 {
+	if s.RowHits != 1 || s.RowMisses != 1 || s.RowConflicts != 0 {
 		t.Errorf("stats = %+v", s)
 	}
 	if s.Activations != 1 {
 		t.Errorf("activations = %d, want 1 (second access was a hit)", s.Activations)
+	}
+
+	// Two reads to one row queued together on a precharged bank whose
+	// ACT must wait (tRRD behind another bank's ACT): the outcome is
+	// fixed by the first command issued for each request, so the first
+	// (ACT) is a miss and the second (RD on the row that ACT opened) a
+	// hit. Classifying when the scheduler first looks at a request
+	// would count both as misses, since both see the bank closed.
+	c = mustCtrl(t, ctrlConfig(OpenRow))
+	var d0 dram.Cycle = -1
+	d1, d2 = -1, -1
+	c.Tick(0)
+	c.EnqueueRead(readReq(Coord{Bank: 0, Row: 3, Col: 0}, &d0))
+	c.EnqueueRead(readReq(Coord{Bank: 1, Row: 7, Col: 0}, &d1))
+	c.EnqueueRead(readReq(Coord{Bank: 1, Row: 7, Col: 1}, &d2))
+	run(c, 1, 200)
+	if d0 < 0 || d1 < 0 || d2 < 0 {
+		t.Fatal("queued reads never completed")
+	}
+	s = c.Stats()
+	if s.RowHits != 1 || s.RowMisses != 2 || s.RowConflicts != 0 || s.Activations != 2 {
+		t.Errorf("same-row pair on a closed bank: stats = %+v, want 1 hit + 2 misses, 2 ACTs", s)
 	}
 }
 
@@ -132,8 +154,10 @@ func TestRowConflictPrechargesAndReactivates(t *testing.T) {
 		t.Fatal("conflicting read never completed")
 	}
 	s := c.Stats()
-	if s.RowConflicts != 1 {
-		t.Errorf("conflicts = %d, want 1", s.RowConflicts)
+	if s.RowHits != 0 || s.RowMisses != 1 || s.RowConflicts != 1 {
+		t.Errorf("outcomes = %d hits / %d misses / %d conflicts, want 0/1/1 "+
+			"(the PRE fixes the second read as a conflict; its ACT does not recount)",
+			s.RowHits, s.RowMisses, s.RowConflicts)
 	}
 	if s.Activations != 2 {
 		t.Errorf("activations = %d, want 2", s.Activations)
@@ -218,6 +242,31 @@ func TestWriteDrainWatermarks(t *testing.T) {
 	run(c, 120, 2000)
 	if got := c.Stats().WritesServed; got != 7 {
 		t.Errorf("writes served = %d, want 7", got)
+	}
+
+	// Draining with no reads queued and writes at or below the low
+	// watermark: the mode must hold across consecutive ticks, so that
+	// it does not depend on which idle ticks an event-driven caller
+	// skips.
+	c = mustCtrl(t, cfg)
+	c.Tick(0)
+	for i := 0; i < cfg.WriteHigh; i++ {
+		c.EnqueueWrite(&Request{Kind: WriteReq, Coord: Coord{Row: 300 + i, Col: 0}})
+	}
+	now := dram.Cycle(1)
+	for ; c.QueuedWrites() > cfg.WriteLow && now < 2000; now++ {
+		c.Tick(now)
+	}
+	if c.QueuedWrites() != cfg.WriteLow || c.QueuedReads() != 0 {
+		t.Fatalf("queues = %d reads / %d writes, want 0 / %d",
+			c.QueuedReads(), c.QueuedWrites(), cfg.WriteLow)
+	}
+	for end := now + 3; now < end; now++ {
+		if !c.drain {
+			t.Fatalf("drain mode dropped at cycle %d with %d writes and no reads queued",
+				now, c.QueuedWrites())
+		}
+		c.Tick(now)
 	}
 }
 

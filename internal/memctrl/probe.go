@@ -2,16 +2,21 @@ package memctrl
 
 import "repro/internal/dram"
 
-// RowOutcome is the scheduler's row-buffer classification of a request,
-// counted exactly once per request (see Controller.classify).
+// RowOutcome is a request's row-buffer outcome, fixed by the first
+// command the scheduler issues on its behalf and counted exactly once
+// per request (see Controller.classify): a column command is a hit, an
+// ACT a miss, a PRE a conflict.
 type RowOutcome uint8
 
 const (
-	// RowHit: the request found its row open.
+	// RowHit: the request's first command was a column command — its
+	// row was already open.
 	RowHit RowOutcome = iota
-	// RowMiss: the request found the bank precharged.
+	// RowMiss: the request's first command was an ACT on a precharged
+	// bank.
 	RowMiss
-	// RowConflict: the request found another row open.
+	// RowConflict: the request's first command was a PRE closing
+	// another row.
 	RowConflict
 )
 
@@ -39,10 +44,10 @@ type Probe interface {
 	// and stamps are identical between the execution engines.
 	ObserveEnqueue(coord Coord, isRead bool, bankReads, bankWrites, reads, writes int, now dram.Cycle)
 
-	// ObserveRowOutcome fires when the scheduler classifies a request's
-	// row-buffer outcome. arrive is the request's arrival cycle — the
-	// engine-invariant bucket for outcome timelines (classification
-	// call time differs between engines; the outcome and arrival stamp
-	// do not).
+	// ObserveRowOutcome fires when the first command issued on a
+	// request's behalf fixes its row-buffer outcome. arrive is the
+	// request's arrival cycle, the bucket for outcome timelines; the
+	// outcome, its issue cycle and the arrival stamp are identical
+	// between the execution engines.
 	ObserveRowOutcome(coord Coord, outcome RowOutcome, arrive dram.Cycle)
 }

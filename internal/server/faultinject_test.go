@@ -505,8 +505,10 @@ func TestChaosClientStorms(t *testing.T) {
 
 	t.Run("429 storm retried", func(t *testing.T) {
 		chaos := clienttest.NewChaosTransport(nil).Add(clienttest.Rule{
-			Name:   "submit-429",
-			Match:  func(r *http.Request) bool { return r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/v1/jobs") },
+			Name: "submit-429",
+			Match: func(r *http.Request) bool {
+				return r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/v1/jobs")
+			},
 			Times:  3,
 			Status: http.StatusTooManyRequests,
 			Body:   `{"error":"synthetic storm"}`,

@@ -99,14 +99,14 @@ type JobSpec struct {
 // populated only on done jobs, and only by the detail/terminal paths
 // (job GET, final SSE event), not by listings.
 type JobStatus struct {
-	ID          string      `json:"id"`
-	Label       string      `json:"label,omitempty"`
-	Tenant      string      `json:"tenant,omitempty"` // owning tenant ("" in open mode)
-	Key         string      `json:"key,omitempty"` // content address of the config
-	State       JobState    `json:"state"`
-	Cached      bool        `json:"cached,omitempty"`  // served from the persistent cache
-	Deduped     bool        `json:"deduped,omitempty"` // attached to another job's in-flight run
-	Error       string      `json:"error,omitempty"`
+	ID      string   `json:"id"`
+	Label   string   `json:"label,omitempty"`
+	Tenant  string   `json:"tenant,omitempty"` // owning tenant ("" in open mode)
+	Key     string   `json:"key,omitempty"`    // content address of the config
+	State   JobState `json:"state"`
+	Cached  bool     `json:"cached,omitempty"`  // served from the persistent cache
+	Deduped bool     `json:"deduped,omitempty"` // attached to another job's in-flight run
+	Error   string   `json:"error,omitempty"`
 	// Reason is the machine-readable cause of a terminal failure
 	// (ReasonDeadline, ReasonQuarantined) so fleet schedulers classify
 	// failures without parsing Error strings.

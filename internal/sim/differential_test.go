@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memctrl"
+	"repro/internal/workload"
 )
 
 // canonical returns the byte-exact JSON form of a Result with the
@@ -115,34 +116,42 @@ func TestDifferentialWorkloadMatrix(t *testing.T) {
 	}
 }
 
-// TestDifferentialLongHorizon runs a few memory-intensive configs far
-// past the short suite's budget. The short configs cross only one or
-// two refresh windows, which once let a one-cycle race slip through:
-// the event engine's eager classification sweep ran against
-// pre-refresh bank state when a refresh became due on the very next
-// cycle, drifting RowHits/RowMisses while every command stayed
-// identical. Dozens of refresh windows make that coincidence reliable
-// (the original reproducers were STREAMcopy seed 7 and tpch17 seed 1
-// at this scale).
+// TestDifferentialLongHorizon runs configs far past the short suite's
+// budget: dozens of refresh windows, long write-drain episodes and, for
+// the eight-core mixes, writebacks that one channel's completion sends
+// to another within the same bus cycle. Short runs rarely reach the
+// states where controller state changed on a tick the event engine
+// skips, or where an arrival stamp depends on which channels have
+// already ticked; these cases each reached one.
 func TestDifferentialLongHorizon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-horizon differential skipped in -short mode")
 	}
 	cases := []struct {
-		workload string
-		seed     uint64
+		name        string
+		workloads   []string
+		mech        MechanismKind
+		seed        uint64
+		warmup, run uint64
 	}{
-		{"STREAMcopy", 7},
-		{"tpch17", 1},
-		{"soplex", 3},
+		{"STREAMcopy-seed7", []string{"STREAMcopy"}, ChargeCache, 7, 0, 400_000},
+		{"tpch17-seed1", []string{"tpch17"}, ChargeCache, 1, 0, 400_000},
+		{"soplex-seed3", []string{"soplex"}, ChargeCache, 3, 0, 400_000},
+		{"bzip2-baseline-seed1", []string{"bzip2"}, Baseline, 1, 0, 2_000_000},
+		{"libquantum-seed1", []string{"libquantum"}, ChargeCache, 1, 1_000_000, 1_000_000},
+		// Eight-core mixes at the experiments' Quick-scale budgets,
+		// closed-row over two channels (DefaultConfig's multi-core shape).
+		{"mix42-0-baseline-seed1", workload.EightCoreMixes(42, 4)[0], Baseline, 1, 300_000, 150_000},
+		// The mix with two STREAMcopy cores.
+		{"mix7-11-seed7", workload.EightCoreMixes(7, 16)[11], ChargeCache, 7, 300_000, 150_000},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s-seed%d", tc.workload, tc.seed), func(t *testing.T) {
-			cfg := DefaultConfig(tc.workload)
-			cfg.WarmupInstructions = 0
-			cfg.RunInstructions = 400_000
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.workloads...)
+			cfg.WarmupInstructions = tc.warmup
+			cfg.RunInstructions = tc.run
 			cfg.Seed = tc.seed
-			cfg.Mechanism = ChargeCache
+			cfg.Mechanism = tc.mech
 			assertEngineEquivalence(t, cfg)
 		})
 	}

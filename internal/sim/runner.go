@@ -251,9 +251,6 @@ func (s *System) runUntilStepper(target uint64, capCycles int64) ([]int64, bool)
 // every Result bit — is identical; skipped cycles are accounted into
 // the cores' cycle/stall counters in bulk (see cpu.Core.AdvanceIdle).
 func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) {
-	for _, ctrl := range s.ctrls {
-		ctrl.SetEventDriven(true)
-	}
 	if s.memCtrlWake == nil {
 		s.memCtrlWake = make([]int64, len(s.ctrls))
 	}
@@ -293,6 +290,11 @@ func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) 
 		if now%ratio == 0 {
 			bus := dram.Cycle(now / ratio)
 			for _, ctrl := range s.ctrls {
+				// The stepper has ticked every earlier controller at
+				// bus by now, so a writeback a completion here sends
+				// to one of them must be stamped bus; later ones keep
+				// the previous bus cycle until their own turn.
+				ctrl.SyncClock(bus)
 				if ctrl.NeedsTick(bus) {
 					ctrl.Tick(bus)
 					s.memDirty = true
@@ -317,22 +319,7 @@ func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) 
 			doneAt[i] = s.nowCPU - start
 		}
 	}
-	s.finishSweeps(ratio)
 	return doneAt, saturated
-}
-
-// finishSweeps settles deferred classification sweeps at the end of a
-// measurement window: the stepper ticks every bus cycle of the window,
-// so a sweep deferred to a bus cycle inside it must still be counted,
-// and one deferred past it must not be.
-func (s *System) finishSweeps(ratio int64) {
-	if s.nowCPU == 0 {
-		return
-	}
-	lastBus := dram.Cycle((s.nowCPU - 1) / ratio)
-	for _, ctrl := range s.ctrls {
-		ctrl.FinishSweeps(lastBus)
-	}
 }
 
 // runUntilEventsSingle is runUntilEvents specialized for one core and
@@ -373,7 +360,6 @@ func (s *System) runUntilEventsSingle(target uint64, capCycles int64) ([]int64, 
 	if saturated {
 		doneCPU = s.nowCPU - start
 	}
-	s.finishSweeps(ratio)
 	return []int64{doneCPU}, saturated
 }
 

@@ -85,15 +85,18 @@ gateway-e2e: soak
 # permanent straggler forces hedged execution, and a dead journal disk
 # degrades storage to memory-only without failing a single job — with
 # byte-identical results across four seeds. The deadline-propagation,
-# quarantine, and degraded-storage unit campaigns ride along. Failures
-# dump forensics into CCSIMD_FAULT_ARTIFACTS.
+# quarantine, and degraded-storage unit campaigns ride along, as do the
+# fronting-daemon campaigns: a peer that sheds or rejects one flight
+# keeps its slot, and a peer restarted on the same address rejoins the
+# front through its breaker. Failures dump forensics into
+# CCSIMD_FAULT_ARTIFACTS.
 .PHONY: soak
 soak:
 	CCSIMD_FAULT_ARTIFACTS=$(CCSIMD_FAULT_ARTIFACTS) $(GO) test -race -count=1 \
 		-run 'TestSelfHealingSoak|TestDispatchWorkerRejoinsMidCampaign|TestDispatchHedgesStragglers|TestDispatchPoisonQuarantine' \
 		./internal/dispatch
 	CCSIMD_FAULT_ARTIFACTS=$(CCSIMD_FAULT_ARTIFACTS) $(GO) test -race -count=1 \
-		-run 'TestManagerDeadline|TestSubmitDeadlineHeaderSheds|TestManagerHedgesStragglerPeer|TestManagerPoisonQuarantine|TestManagerStorageDegradedMode' \
+		-run 'TestManagerDeadline|TestSubmitDeadlineHeaderSheds|TestManagerHedgesStragglerPeer|TestManagerPoisonQuarantine|TestManagerStorageDegradedMode|TestFrontPeerShedKeepsSlot|TestFrontPeerRejectionFailsJobKeepsSlot|TestFrontPeerRejoins' \
 		./internal/server
 
 # serve runs the simulation daemon locally with the version stamp.

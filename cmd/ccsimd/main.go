@@ -18,9 +18,11 @@
 // -peers b:8344,c:8344 makes this daemon front a fleet: each reachable
 // peer contributes its advertised worker capacity to this daemon's
 // pool, so clients keep talking to one address while jobs execute
-// across every machine. A peer that dies mid-job hands the job back to
-// the queue; a crashed-then-restarted peer rejoins through its circuit
-// breaker, -hedge-after races a local backup against straggling peer
+// across every machine. Local workers and peers share one scheduler
+// with internal/dispatch campaigns: a job whose peer dies mid-run
+// retries on another worker while the peer sits behind its circuit
+// breaker, a crashed-then-restarted peer rejoins on the breaker's
+// re-probe, -hedge-after races a second worker against straggling
 // flights, -poison-threshold quarantines jobs that keep killing
 // workers, and result-cache/journal write failures degrade to
 // memory-only storage (see README "Resilience") instead of failing
@@ -75,7 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	tenants := fs.String("tenants", "", "tenant registry JSON file ({\"tenants\":[{\"name\":...,\"token\":...,\"weight\":...,...}]}); enables bearer-token auth, per-tenant quotas and fair-share scheduling")
 	hotResults := fs.Int("hot-results", 0, "hot in-memory LRU entries fronting the result cache (0 = 256)")
 	traceRoot := fs.String("trace-root", "", "advertise DIR as a trace directory shared with clients: trace-file configs under it are accepted")
-	hedgeAfter := fs.Duration("hedge-after", 0, "hedge a straggling peer flight with a local backup after this long (0 = off; needs local workers)")
+	hedgeAfter := fs.Duration("hedge-after", 0, "hedge a straggling flight onto another free worker after this long (0 = off; needs a second worker: local workers or another peer)")
 	poison := fs.Int("poison-threshold", 0, "quarantine a job after its execution kills this many workers (0 = default 3, negative = never)")
 	storageProbe := fs.Duration("storage-probe-interval", 0, "how often degraded (memory-only) storage re-probes the disk for automatic restore (0 = default 1s)")
 	grace := fs.Duration("grace", time.Minute, "graceful-shutdown budget for draining running jobs")
@@ -113,24 +115,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		*peerToken = os.Getenv("CCSIMD_PEER_TOKEN")
 	}
 	var remotes []server.Remote
-	for _, p := range dispatch.SplitEndpoints(*peers) {
-		peer := client.New(p)
-		peer.Token = *peerToken
-		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		h, err := peer.Health(pctx)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(stderr, "ccsimd: WARNING: peer %s failed its health probe, skipping: %v\n", p, err)
+	for _, pr := range client.ProbePeers(ctx, dispatch.SplitEndpoints(*peers), *peerToken, 5*time.Second) {
+		if pr.Err != nil {
+			fmt.Fprintf(stderr, "ccsimd: WARNING: peer %s failed its health probe, skipping: %v\n", pr.Endpoint, pr.Err)
 			continue
 		}
-		slots := h.Workers
-		if slots < 1 {
-			slots = 1
-		}
-		pr := client.NewPeer(p, slots)
-		pr.Token = *peerToken
-		remotes = append(remotes, pr)
-		fmt.Fprintf(stderr, "ccsimd: peer %s: %d slot(s), version %s\n", peer.Base(), slots, h.Version)
+		remotes = append(remotes, pr.Peer)
+		fmt.Fprintf(stderr, "ccsimd: peer %s: %d slot(s), version %s\n", pr.Peer.Base(), pr.Peer.Slots(), pr.Health.Version)
 	}
 	if *workers == server.NoLocalWorkers && len(remotes) == 0 {
 		fmt.Fprintf(stderr, "ccsimd: no local workers and no reachable peers; refusing to accept jobs that would never run\n")

@@ -439,9 +439,9 @@ func (c *Client) waitOrRecover(ctx context.Context, sub server.JobStatus) (serve
 	return st, nil
 }
 
-// Peer adapts a Client to the server.Remote interface, letting one
-// ccsimd daemon front a fleet (-peers): the front daemon's manager
-// dedicates Slots concurrent executions to this peer.
+// Peer adapts a Client to the server.Remote interface: one daemon of a
+// server.Fleet, holding Slots concurrent executions — a ccsimd -peers
+// backend, or an endpoint of an internal/dispatch campaign.
 type Peer struct {
 	*Client
 	slots int
@@ -462,9 +462,58 @@ func (p *Peer) Name() string { return p.Base() }
 // Slots implements server.Remote.
 func (p *Peer) Slots() int { return p.slots }
 
-// Run implements server.Remote.
+// Run implements server.Remote, mapping the daemon's refusals onto the
+// error kinds the fleet classifies: HTTP 400 (the config is invalid)
+// onto server.ErrPermanent, and an admission shed (503
+// deadline_unmeetable) onto server.ErrDeadlineExceeded.
 func (p *Peer) Run(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
-	return p.RunJob(ctx, spec)
+	st, err := p.RunJob(ctx, spec)
+	var apiErr *APIError
+	if errors.As(err, &apiErr) {
+		switch {
+		case apiErr.Status == http.StatusBadRequest:
+			err = fmt.Errorf("%w (%w)", err, server.ErrPermanent)
+		case apiErr.Code == server.ErrCodeDeadlineUnmeetable:
+			err = fmt.Errorf("%w (%w)", err, server.ErrDeadlineExceeded)
+		}
+	}
+	return st, err
+}
+
+// PeerProbe is one endpoint's health-probe outcome.
+type PeerProbe struct {
+	Endpoint string
+	Peer     *Peer // nil when the probe failed
+	Health   server.Health
+	Err      error
+}
+
+// ProbePeers health-checks endpoints concurrently, each within timeout,
+// and wraps every daemon that answered as a Peer sized by its
+// advertised worker count and authenticating with token — the fleet
+// set-up shared by ccsimd -peers and internal/dispatch. Results come
+// back in endpoint order.
+func ProbePeers(ctx context.Context, endpoints []string, token string, timeout time.Duration) []PeerProbe {
+	out := make([]PeerProbe, len(endpoints))
+	var wg sync.WaitGroup
+	for i, ep := range endpoints {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := NewPeer(ep, 1)
+			p.Token = token
+			pctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			h, err := p.Health(pctx)
+			out[i] = PeerProbe{Endpoint: ep, Health: h, Err: err}
+			if err == nil {
+				p.slots = max(h.Workers, 1)
+				out[i].Peer = p
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // RunSweep executes jobs on the daemon and returns results in input

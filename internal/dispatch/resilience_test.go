@@ -14,9 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/server"
-	"repro/internal/sim"
 	"repro/internal/sweep"
 )
 
@@ -278,101 +276,5 @@ func TestDispatchPoisonQuarantine(t *testing.T) {
 	}
 	if stats.Retries != 3 {
 		t.Errorf("stats.Retries = %d, want 3 (the default poison threshold)", stats.Retries)
-	}
-}
-
-// TestDispatchIneligibleDoesNotConsumeTried pins the satellite contract
-// of retry(): an ErrIneligible rejection records permanent
-// ineligibility but must not consume the unit's per-worker tried
-// budget, feed the worker's breaker, or count toward poison quarantine
-// — the worker is healthy, it just cannot see the trace files.
-func TestDispatchIneligibleDoesNotConsumeTried(t *testing.T) {
-	newDispatcher := func() (*dispatcher, *worker, *unit) {
-		u := &unit{
-			job:        sweep.Job{Label: "x", Config: tinyCfg("lbm", 1)},
-			indices:    []int{0},
-			tried:      map[int]bool{},
-			ineligible: map[int]bool{},
-			holders:    map[int]bool{0: true},
-			cancels:    map[int]context.CancelFunc{},
-			attempts:   1,
-		}
-		remote := &worker{id: 0, name: "remote", cli: client.New("http://127.0.0.1:1"), slots: 1,
-			breaker: breaker{threshold: 1, reprobe: time.Second, probeLimit: 4}}
-		local := &worker{id: 1, name: "local", slots: 1}
-		d := &dispatcher{
-			ctx:         context.Background(),
-			jobs:        []sweep.Job{u.job},
-			results:     make([]sim.Result, 1),
-			workers:     []*worker{remote, local},
-			stats:       &Stats{},
-			units:       []*unit{u},
-			outstanding: 1,
-		}
-		d.cond = sync.NewCond(&d.mu)
-		return d, remote, u
-	}
-
-	// An eligibility rejection: permanent mark, everything else intact.
-	d, remote, u := newDispatcher()
-	alive := d.retry(remote, u, fmt.Errorf("client: job 0: %w", server.ErrIneligible), false)
-	if !alive {
-		t.Error("worker retired after an eligibility rejection")
-	}
-	if u.tried[remote.id] {
-		t.Error("ErrIneligible consumed the unit's tried budget")
-	}
-	if !u.ineligible[remote.id] {
-		t.Error("ErrIneligible not recorded as permanent ineligibility")
-	}
-	if u.crashes != 0 {
-		t.Errorf("u.crashes = %d after ErrIneligible, want 0", u.crashes)
-	}
-	if remote.breaker.state != breakerClosed {
-		t.Errorf("breaker state = %v after ErrIneligible, want closed", remote.breaker.state)
-	}
-	if !u.queued {
-		t.Error("unit not requeued for the remaining candidate")
-	}
-
-	// A transport failure on the same shape: tried consumed, breaker
-	// fed, crash counted.
-	d, remote, u = newDispatcher()
-	d.retry(remote, u, errors.New("connection refused"), false)
-	if !u.tried[remote.id] {
-		t.Error("transport failure did not consume the tried budget")
-	}
-	if u.ineligible[remote.id] {
-		t.Error("transport failure recorded as ineligibility")
-	}
-	if u.crashes != 1 {
-		t.Errorf("u.crashes = %d after transport failure, want 1", u.crashes)
-	}
-	if remote.breaker.state != breakerOpen {
-		t.Errorf("breaker state = %v after transport failure, want open", remote.breaker.state)
-	}
-}
-
-// TestAdaptiveHedgeThreshold pins the HedgeAdaptive cutoff: undefined
-// below the sample floor, then 3× the p95 latency with a 250ms floor.
-func TestAdaptiveHedgeThreshold(t *testing.T) {
-	var lat []time.Duration
-	for i := 0; i < 7; i++ {
-		lat = append(lat, 10*time.Millisecond)
-	}
-	if _, ok := adaptiveHedgeThreshold(lat); ok {
-		t.Error("threshold defined with fewer than 8 samples")
-	}
-
-	lat = append(lat, 10*time.Millisecond)
-	thr, ok := adaptiveHedgeThreshold(lat)
-	if !ok || thr != 250*time.Millisecond {
-		t.Errorf("uniform fast latencies: threshold = %v/%v, want 250ms floor", thr, ok)
-	}
-
-	lat[len(lat)-1] = 200 * time.Millisecond // p95 of 8 samples = max
-	thr, ok = adaptiveHedgeThreshold(lat)
-	if !ok || thr != 600*time.Millisecond {
-		t.Errorf("threshold = %v/%v, want 3×p95 = 600ms", thr, ok)
 	}
 }

@@ -1,4 +1,4 @@
-package dispatch
+package server
 
 import "time"
 
@@ -37,7 +37,7 @@ func (s breakerState) String() string {
 }
 
 // breaker tracks one worker's transport health. All fields are guarded
-// by dispatcher.mu — the breaker itself is not safe for unsynchronized
+// by Fleet.mu — the breaker itself is not safe for unsynchronized
 // use, which keeps it allocation-free and branch-cheap on the claim
 // path.
 type breaker struct {

@@ -1,4 +1,4 @@
-package dispatch
+package server
 
 import (
 	"testing"
@@ -6,7 +6,7 @@ import (
 )
 
 // newTestBreaker returns a breaker with explicit knobs, mirroring how
-// probe() arms per-worker breakers from Options.
+// NewFleet arms per-worker breakers from FleetConfig.
 func newTestBreaker(threshold int, reprobe time.Duration, probeLimit int) breaker {
 	return breaker{threshold: threshold, reprobe: reprobe, probeLimit: probeLimit}
 }

@@ -350,7 +350,7 @@ func TestFleetFaultCampaign(t *testing.T) {
 	met := front.m.Metrics()
 	// Exactly-once: ten distinct configs, ten simulations fleet-wide as
 	// accounted by the front (local + remote), regardless of dedup,
-	// cache hits, rate-limit retries, or the killed peer's handbacks.
+	// cache hits, rate-limit retries, or the killed peer's retried flights.
 	if got := met.SimulationsRun + met.RemoteSimulations; got != 10 {
 		t.Errorf("fleet simulations = %d (local %d + remote %d), want exactly 10",
 			got, met.SimulationsRun, met.RemoteSimulations)

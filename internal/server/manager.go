@@ -21,6 +21,10 @@
 //     staging is weighted fair-share across tenants (schedq.go) with
 //     per-tenant queue/concurrency quotas; without one the manager
 //     degenerates to the original single-FIFO behavior exactly,
+//   - one execution core: local workers and peer daemons (Remotes) are
+//     workers of one Fleet (fleet.go) behind one worker loop, so peer
+//     health, retries, hedging and poison quarantine follow the same
+//     rules as internal/dispatch campaigns,
 //   - graceful shutdown: Drain stops intake, cancels still-queued
 //     jobs, and waits for running simulations to finish.
 package server
@@ -166,12 +170,6 @@ type flight struct {
 	priority int
 	seq      uint64
 
-	// handbacks counts how many successive workers this flight's
-	// execution has killed (each retireSlot hand-back increments it).
-	// At ManagerConfig.PoisonThreshold the flight is quarantined instead
-	// of requeued, so one poison job cannot cascade through the fleet.
-	handbacks int
-
 	// stream, set when the config enables analysis, fans the flight's
 	// live epoch batches out to SSE subscribers and retains the final
 	// report for late ones.
@@ -202,10 +200,13 @@ type ManagerConfig struct {
 	// GET /v1/results/{key}. Live jobs are never evicted.
 	Retention int
 
-	// Remotes are peer execution backends (ccsimd -peers): each adds
-	// Slots() worker goroutines that run queued flights on that peer
-	// instead of this machine, with automatic hand-back to the queue
-	// when the peer becomes unreachable.
+	// Remotes are peer execution backends (ccsimd -peers). They join
+	// the local workers in one Fleet: each adds Slots() worker
+	// goroutines, and every flight runs on whichever fleet worker is
+	// free. A peer that fails in transport sits behind its circuit
+	// breaker (re-probed every 3s, retired after 4 failed re-probes)
+	// while its flight retries elsewhere; a flight no worker can take
+	// runs on this machine.
 	Remotes []Remote
 
 	// Tenants, when non-nil, turns the manager into a multi-tenant
@@ -228,12 +229,13 @@ type ManagerConfig struct {
 	// worse, silently reading a different file.
 	TraceRoot string
 
-	// HedgeAfter, when positive, hedges straggler remote flights: a
-	// flight a peer has been running for longer than this launches a
-	// local backup execution, first result wins. Safe because the
-	// fleet-wide singleflight on sweep.Key guarantees at most one
-	// *counted* simulation per config — the losing attempt is canceled
-	// and never finishes the flight. Zero disables hedging.
+	// HedgeAfter, when positive, hedges straggler flights: a flight
+	// whose only attempt has run longer than this gets a second attempt
+	// on another free fleet worker (a local worker or another peer),
+	// first result wins. Safe because the singleflight on sweep.Key
+	// guarantees at most one *counted* simulation per config — the
+	// losing attempt is canceled and never finishes the flight. Zero
+	// disables hedging.
 	HedgeAfter time.Duration
 	// PoisonThreshold quarantines a flight after its execution killed
 	// this many successive workers (0 means 3; negative disables
@@ -263,11 +265,11 @@ type Manager struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	retention  int
-	workers    int // local worker goroutines
-	traceRoot  string
-	hedgeAfter time.Duration // straggler threshold for remote flights (0 = no hedging)
-	poison     int           // successive worker kills before quarantine (<=0 = never)
+	retention int
+	workers   int // local simulation slots
+	traceRoot string
+	// fleet runs every flight: the Remotes plus the local workers.
+	fleet *Fleet
 
 	mu       sync.Mutex
 	qcond    *sync.Cond // workers wait here for startable flights
@@ -278,11 +280,11 @@ type Manager struct {
 	qclosed  bool               // set by Drain; workers exit once the queue empties
 	draining bool
 	nextID   uint64
-	slots    int // live worker goroutines, local + remote; remote slots retire on peer loss
+	slots    int // worker goroutines: the fleet's total capacity
 
-	// quarantined maps content-address keys of poison jobs to the
-	// human-readable quarantine cause; resubmissions fail fast.
-	quarantined map[string]string
+	// quarantined maps content-address keys of poison jobs to their
+	// quarantine error; resubmissions fail fast.
+	quarantined map[string]error
 	// avgFlightNs is an EWMA of fresh (non-cached) flight durations,
 	// the basis of admission-time deadline shedding: a submission whose
 	// deadline the estimated queue drain exceeds is rejected instead of
@@ -317,9 +319,9 @@ func (m *Manager) tenantCountersLocked(name string) *tenantCounters {
 	return tc
 }
 
-// NewManager starts cfg.Workers local worker goroutines plus Slots()
-// goroutines per remote backend and returns the manager. Call Drain to
-// stop it.
+// NewManager starts one worker goroutine per fleet slot — cfg.Workers
+// local ones plus Slots() per remote backend — and returns the manager.
+// Call Drain to stop it.
 func NewManager(cfg ManagerConfig) *Manager {
 	workers := cfg.Workers
 	switch {
@@ -341,9 +343,9 @@ func NewManager(cfg ManagerConfig) *Manager {
 	if retention <= 0 {
 		retention = 1024
 	}
-	poison := cfg.PoisonThreshold
-	if poison == 0 {
-		poison = 3
+	workerSet := append([]Remote(nil), cfg.Remotes...)
+	if workers > 0 {
+		workerSet = append(workerSet, Local{Workers: workers})
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -353,15 +355,14 @@ func NewManager(cfg ManagerConfig) *Manager {
 		retention:   retention,
 		workers:     workers,
 		traceRoot:   cfg.TraceRoot,
-		hedgeAfter:  cfg.HedgeAfter,
-		poison:      poison,
+		fleet:       NewFleet(workerSet, FleetConfig{HedgeAfter: cfg.HedgeAfter, PoisonThreshold: cfg.PoisonThreshold}),
 		ctx:         ctx,
 		cancel:      cancel,
 		jobs:        map[string]*job{},
 		flights:     map[string]*flight{},
 		sched:       newSchedQueue(depth),
 		tstats:      map[string]*tenantCounters{},
-		quarantined: map[string]string{},
+		quarantined: map[string]error{},
 	}
 	m.qcond = sync.NewCond(&m.mu)
 	if cfg.Cache != nil {
@@ -381,21 +382,10 @@ func NewManager(cfg ManagerConfig) *Manager {
 		}
 		m.replayJournal()
 	}
-	m.slots = workers
-	m.wg.Add(workers)
-	for i := 0; i < workers; i++ {
+	m.slots = m.fleet.Slots()
+	m.wg.Add(m.slots)
+	for i := 0; i < m.slots; i++ {
 		go m.worker()
-	}
-	for _, r := range cfg.Remotes {
-		slots := r.Slots()
-		if slots < 1 {
-			slots = 1
-		}
-		m.slots += slots
-		m.wg.Add(slots)
-		for i := 0; i < slots; i++ {
-			go m.remoteWorker(r)
-		}
 	}
 	// The deadline sweeper fails queued jobs whose deadline passed. Not
 	// in m.wg: it lives on m.ctx, which Drain cancels after the workers
@@ -528,8 +518,8 @@ func (m *Manager) SubmitAs(caller Tenant, specs []JobSpec) ([]JobStatus, error) 
 	// Poison quarantine: a config that killed PoisonThreshold successive
 	// workers fails fast on resubmission instead of cascading again.
 	for i, key := range keys {
-		if cause, ok := m.quarantined[key]; ok && key != "" {
-			return nil, fmt.Errorf("server: job %d: %w (%s)", i, ErrQuarantined, cause)
+		if qerr, ok := m.quarantined[key]; ok && key != "" {
+			return nil, fmt.Errorf("server: job %d: %w", i, qerr)
 		}
 	}
 
@@ -1059,7 +1049,8 @@ func (m *Manager) nextFlight() (*flight, bool) {
 	}
 }
 
-// worker picks flights until Drain closes the queue.
+// worker is the one worker loop: it picks flights until Drain closes
+// the queue and runs each on the fleet.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
@@ -1067,56 +1058,10 @@ func (m *Manager) worker() {
 		if !ok {
 			return
 		}
-		m.runFlight(f)
-	}
-}
-
-// remoteWorker is one execution slot on a peer daemon: it picks flights
-// like a local worker but ships them to r. When the peer becomes
-// unreachable the slot retires — the in-flight flight is handed back to
-// the queue (or executed locally when it cannot be), and if this was
-// the manager's last live slot the goroutine degrades to a local worker
-// so queued flights are never orphaned.
-func (m *Manager) remoteWorker(r Remote) {
-	defer m.wg.Done()
-	for {
-		f, ok := m.nextFlight()
-		if !ok {
-			return
-		}
-		if !m.startFlight(f) {
-			continue
-		}
-		switch m.execFlightRemote(r, f) {
-		case flightSettled:
-			continue
-		case peerLostSettled:
-			// A hedge finished the flight after the peer vanished: retire
-			// the slot without a hand-back.
-			if last := m.dropSlot(); !last {
-				return
-			}
-		case peerLost:
-			if last := m.retireSlot(f); !last {
-				return
-			}
-		}
-		for {
-			f, ok := m.nextFlight()
-			if !ok {
-				return
-			}
-			m.runFlight(f)
+		if m.startFlight(f) {
+			m.execFlight(f)
 		}
 	}
-}
-
-// runFlight executes one flight locally, start to finish.
-func (m *Manager) runFlight(f *flight) {
-	if !m.startFlight(f) {
-		return
-	}
-	m.execFlightLocal(f)
 }
 
 // startFlight moves a dequeued flight to running and reports whether it
@@ -1173,71 +1118,55 @@ func (m *Manager) startFlight(f *flight) bool {
 	return true
 }
 
-// simulateFlight runs a started flight through the sweep engine on this
-// machine, without finishing it — the caller decides what the outcome
-// means (the normal local path finishes the flight with it; a hedge
-// only wins if the remote attempt has not already finished). When the
-// flight carries a stream broker and hedge is false, the analysis
-// collector's live batches are routed into it on the simulation
-// goroutine; the cloned config keeps the content address unchanged
-// (Stream is excluded from the key). Hedge runs skip the broker so a
-// losing backup never races the winner's stream seal.
-func (m *Manager) simulateFlight(f *flight, hedge bool) (sim.Result, sweep.Event, error) {
-	cfg := f.cfg
-	if !hedge && f.stream != nil && cfg.Analysis != nil {
-		ac := *cfg.Analysis
-		ac.Stream = f.stream.ingest
-		cfg.Analysis = &ac
+// execFlight runs a started flight on the fleet to a terminal state.
+// The fallback is this daemon's: a flight no fleet worker can take (all
+// dead, ineligible, or behind an open breaker) runs on this goroutine,
+// so queued flights are never orphaned. Every fresh result lands in the
+// result store under the key computed at submission — never
+// re-digested, so a trace rewritten mid-flight cannot fail a successful
+// run.
+func (m *Manager) execFlight(f *flight) {
+	spec := m.flightSpec(f)
+	out, err := m.fleet.Run(f.ctx, spec, true)
+	if errors.Is(err, ErrNoWorker) {
+		start := time.Now()
+		out.Worker = Local{}
+		out.Status, err = Local{}.Run(f.ctx, spec)
+		out.Elapsed = time.Since(start)
 	}
-	var ev sweep.Event
-	results, err := sweep.Run(f.ctx, []sweep.Job{{Label: f.label, Config: cfg}}, sweep.Options{
-		Workers:  1,
-		Cache:    m.cache,
-		Progress: func(e sweep.Event) { ev = e },
-	})
+	worker, remote := "local", false
+	if out.Worker != nil {
+		_, local := out.Worker.(Local)
+		worker, remote = out.Worker.Name(), !local
+	}
 	var res sim.Result
-	if err == nil {
-		res = results[0]
+	switch {
+	case errors.Is(err, ErrQuarantined):
+		worker = "quarantine"
+	case err == nil:
+		res = *out.Status.Result
 		if f.key != "" {
-			// sweep.Run already wrote the cold tier; promote into the
-			// hot LRU so local completions are served hot just like
-			// remote ones (store.Put on the peer path).
-			m.store.promote(f.key, res)
+			err = m.store.Put(f.key, res)
 		}
 	}
-	return res, ev, err
+	m.finishFlight(f, worker, res, out.Elapsed, out.Status.Cached, remote, err)
 }
 
-// execFlightLocal runs a started flight locally, start to finish.
-func (m *Manager) execFlightLocal(f *flight) {
-	res, ev, err := m.simulateFlight(f, false)
-	m.finishFlight(f, "local", res, ev.Elapsed, ev.Cached, false, err)
-}
-
-// remoteVerdict is the outcome of one remote flight execution.
-type remoteVerdict int
-
-const (
-	// flightSettled: the flight reached a terminal state (on the peer, or
-	// locally via the ineligible fallback or a winning hedge while the
-	// peer stayed healthy); the slot keeps serving the peer.
-	flightSettled remoteVerdict = iota
-	// peerLost: transport failure with the flight still running; the
-	// caller hands it back via retireSlot.
-	peerLost
-	// peerLostSettled: the transport died but a hedge finished the
-	// flight; the slot retires without a hand-back.
-	peerLostSettled
-)
-
-// remoteSpec builds the JobSpec forwarded to a peer: the owning tenant
-// (so the peer attributes work — and its fleet-wide dedup and quotas —
-// to the original caller, not to this forwarding daemon) and the widest
-// deadline shared by every live subscriber. The deadline is forwarded
-// only when every live subscriber has one: a peer must never fail a
-// flight early while a deadline-less subscriber is still waiting on it.
-func (m *Manager) remoteSpec(f *flight) JobSpec {
+// flightSpec builds the JobSpec a fleet worker runs: the owning tenant
+// (so a peer attributes work — and its fleet-wide dedup and quotas — to
+// the original caller, not to this forwarding daemon), the widest
+// deadline shared by every live subscriber, and the flight's analysis
+// stream sink (local attempts feed it live; Stream is excluded from the
+// wire and from sweep.Key). The deadline is set only when every live
+// subscriber has one: a peer must never fail a flight early while a
+// deadline-less subscriber is still waiting on it.
+func (m *Manager) flightSpec(f *flight) JobSpec {
 	spec := JobSpec{Label: f.label, Config: f.cfg, Tenant: f.tenant}
+	if f.stream != nil && spec.Config.Analysis != nil {
+		ac := *spec.Config.Analysis
+		ac.Stream = f.stream.ingest
+		spec.Config.Analysis = &ac
+	}
 	m.mu.Lock()
 	latest, all := time.Time{}, true
 	for _, j := range f.jobs {
@@ -1259,204 +1188,6 @@ func (m *Manager) remoteSpec(f *flight) JobSpec {
 	return spec
 }
 
-// execFlightRemote runs a started flight on r, hedging stragglers with
-// a local backup when the manager was configured with HedgeAfter.
-func (m *Manager) execFlightRemote(r Remote, f *flight) remoteVerdict {
-	if m.hedgeAfter > 0 {
-		return m.execFlightHedged(r, f)
-	}
-	start := time.Now()
-	st, err := r.Run(f.ctx, m.remoteSpec(f))
-	if m.settleRemote(r, f, st, err, time.Since(start), false) {
-		return flightSettled
-	}
-	return peerLost
-}
-
-// execFlightHedged races the peer against a local backup: the remote
-// attempt starts immediately, and if it is still running after
-// hedgeAfter a local execution launches too — first finished result
-// wins and cancels the loser, so hedges never double-finish a flight
-// (and never double-count SimulationsRun: only the winner reaches
-// finishFlight).
-func (m *Manager) execFlightHedged(r Remote, f *flight) remoteVerdict {
-	type remoteOut struct {
-		st  JobStatus
-		err error
-	}
-	type localOut struct {
-		res sim.Result
-		ev  sweep.Event
-		err error
-	}
-	start := time.Now()
-	rctx, rcancel := context.WithCancel(f.ctx)
-	defer rcancel()
-	rch := make(chan remoteOut, 1)
-	spec := m.remoteSpec(f)
-	go func() {
-		st, err := r.Run(rctx, spec)
-		rch <- remoteOut{st, err}
-	}()
-	var lch chan localOut // nil until the hedge launches; nil in select blocks forever
-	timer := time.NewTimer(m.hedgeAfter)
-	defer timer.Stop()
-	for {
-		select {
-		case o := <-rch:
-			elapsed := time.Since(start)
-			hedged := lch != nil
-			if m.settleRemote(r, f, o.st, o.err, elapsed, hedged) {
-				return flightSettled
-			}
-			if !hedged {
-				return peerLost
-			}
-			// The peer is gone (or became ineligible) but the hedge is
-			// already simulating this flight locally: let it finish —
-			// handing the flight back would run it a third time.
-			lo := <-lch
-			m.finishFlight(f, "local", lo.res, lo.ev.Elapsed, lo.ev.Cached, false, lo.err)
-			m.mu.Lock()
-			m.counters.hedgesWon++
-			m.mu.Unlock()
-			if errors.Is(o.err, ErrIneligible) {
-				return flightSettled // the peer is healthy; keep its slot
-			}
-			return peerLostSettled
-		case <-timer.C:
-			if lch != nil {
-				continue
-			}
-			lch = make(chan localOut, 1)
-			m.mu.Lock()
-			m.counters.hedgesLaunched++
-			m.mu.Unlock()
-			go func() {
-				res, ev, err := m.simulateFlight(f, true)
-				lch <- localOut{res, ev, err}
-			}()
-		case lo := <-lch:
-			// The local backup beat the straggling peer: cancel the remote
-			// attempt and finish with the local result.
-			rcancel()
-			m.finishFlight(f, "local", lo.res, lo.ev.Elapsed, lo.ev.Cached, false, lo.err)
-			m.mu.Lock()
-			m.counters.hedgesWon++
-			m.mu.Unlock()
-			return flightSettled
-		}
-	}
-}
-
-// settleRemote applies one remote outcome to the flight. It reports
-// true when the flight reached a terminal state; false means a
-// transport failure (the peer is unreachable — the caller retires the
-// slot or falls back to a running hedge) or, when hedged, an
-// ineligibility verdict the running hedge will resolve.
-func (m *Manager) settleRemote(r Remote, f *flight, st JobStatus, err error, elapsed time.Duration, hedged bool) bool {
-	var remoteErr *RemoteJobError
-	switch {
-	case err == nil && st.Result == nil:
-		m.finishFlight(f, r.Name(), sim.Result{}, elapsed, false, true,
-			fmt.Errorf("server: peer %s finished job without a result", r.Name()))
-	case err == nil:
-		res := *st.Result
-		if f.key != "" {
-			// Land the peer's result in this daemon's result store (hot
-			// tier + persistent cache) so restarts and identical
-			// submissions serve it locally, under the key computed at
-			// submission — never re-digested, so a trace rewritten
-			// mid-flight cannot fail a successful run (key-less flights
-			// skip caching, like the local path; cacheless managers have
-			// a nil store; a degraded cache absorbs the write in memory).
-			if perr := m.store.Put(f.key, res); perr != nil {
-				m.finishFlight(f, r.Name(), sim.Result{}, elapsed, false, true, perr)
-				return true
-			}
-		}
-		m.finishFlight(f, r.Name(), res, elapsed, st.Cached, true, nil)
-	case errors.As(err, &remoteErr) || f.ctx.Err() != nil:
-		// The peer ran the job and the simulation failed (retrying
-		// elsewhere would fail identically), or our own flight was
-		// canceled: terminal either way.
-		m.finishFlight(f, r.Name(), sim.Result{}, elapsed, false, true, err)
-	case errors.Is(err, ErrIneligible):
-		// This peer must not run the job (e.g. it cannot see the
-		// config's trace files) but it is perfectly healthy: execute
-		// the flight on this goroutine instead — requeueing would
-		// livelock a fleet whose every peer is ineligible, and failing
-		// would punish a job local execution can still satisfy. With a
-		// hedge already running, that local execution exists: defer to it.
-		if hedged {
-			return false
-		}
-		m.execFlightLocal(f)
-	default:
-		return false
-	}
-	return true
-}
-
-// retireSlot hands back the flight a vanished peer was running and
-// removes this worker from the live-slot count. The flight returns to
-// the queue for another worker when possible; otherwise — queue full,
-// draining, or no other slot left to ever pick it up — it executes
-// locally on this goroutine, because a started flight must reach a
-// terminal state. Returns true when this was the last live slot, in
-// which case the caller keeps serving the queue locally.
-func (m *Manager) retireSlot(f *flight) (last bool) {
-	m.mu.Lock()
-	m.slots--
-	last = m.slots == 0
-	// Poison quarantine: a flight whose execution has now killed
-	// m.poison successive workers is the common cause, not the victim.
-	// Fail and quarantine it instead of handing it to yet another
-	// worker.
-	f.handbacks++
-	if m.poison > 0 && f.handbacks >= m.poison {
-		m.counters.quarantined++
-		if f.key != "" {
-			m.quarantined[f.key] = fmt.Sprintf("killed %d successive workers", f.handbacks)
-		}
-		m.mu.Unlock()
-		m.finishFlight(f, "quarantine", sim.Result{}, 0, false, true,
-			fmt.Errorf("%w: execution killed %d successive workers", ErrQuarantined, f.handbacks))
-		return last
-	}
-	if !last && !m.draining && m.sched.total < m.sched.capacity {
-		// Hand-back visible to pollers/SSE as running -> queued.
-		f.state = StateQueued
-		for _, j := range f.jobs {
-			if j.state == StateRunning {
-				j.state = StateQueued
-				m.notifyLocked(j)
-			}
-		}
-		m.counters.running--
-		m.counters.requeued++
-		m.sched.release(f) // re-picked later, re-accounted then
-		m.sched.push(f, m.registry.Lookup(f.tenant))
-		m.qcond.Broadcast()
-		m.mu.Unlock()
-		return last
-	}
-	m.mu.Unlock()
-	m.execFlightLocal(f)
-	return last
-}
-
-// dropSlot removes a retiring worker from the live-slot count without a
-// flight hand-back (the flight already settled). Returns true when this
-// was the last live slot.
-func (m *Manager) dropSlot() (last bool) {
-	m.mu.Lock()
-	m.slots--
-	last = m.slots == 0
-	m.mu.Unlock()
-	return last
-}
-
 // finishFlight completes every job attached to a started flight with
 // its outcome. worker names the slot that resolved the flight ("local"
 // or a peer) for the journal and the per-worker metrics; cached marks
@@ -1474,6 +1205,9 @@ func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed
 	m.qcond.Broadcast()
 	switch {
 	case err != nil:
+		if errors.Is(err, ErrQuarantined) && f.key != "" {
+			m.quarantined[f.key] = err
+		}
 		reason := failureReason(err)
 		for _, j := range f.jobs {
 			if j.state.Terminal() {

@@ -18,14 +18,10 @@ type counters struct {
 	cacheHits   uint64 // jobs/flights served from the persistent cache
 	simulations uint64 // fresh simulations executed on this machine
 	remoteSims  uint64 // flights executed on peer daemons (-peers)
-	requeued    uint64 // flights handed back after a peer became unreachable
 	running     int    // flights currently simulating
 
-	// Resilience counters (PR 10): hedged straggler flights, queue-side
-	// deadline enforcement, and poison-job quarantine.
-	hedgesLaunched  uint64 // local backup executions started for straggler remote flights
-	hedgesWon       uint64 // flights the backup finished first (or salvaged after peer loss)
-	quarantined     uint64 // flights failed after killing PoisonThreshold successive workers
+	// Queue-side deadline enforcement (the fleet counts retries, hedges
+	// and quarantines itself: Fleet.Stats).
 	deadlineExpired uint64 // queued jobs failed because their deadline passed
 	deadlineShed    uint64 // submissions rejected at admission as deadline-unmeetable
 
@@ -118,8 +114,9 @@ type Metrics struct {
 
 	SimulationsRun uint64 `json:"simulations_run"`
 	// RemoteSimulations counts flights executed on peer daemons
-	// (-peers); JobsRequeued counts flights handed back to the queue
-	// after their peer became unreachable mid-run.
+	// (-peers); JobsRequeued counts flight attempts retried on another
+	// fleet worker after their worker was lost, shed them, or could not
+	// run them.
 	RemoteSimulations uint64 `json:"remote_simulations,omitempty"`
 	JobsRequeued      uint64 `json:"jobs_requeued,omitempty"`
 	CacheHits         uint64 `json:"cache_hits"`
@@ -151,10 +148,10 @@ type Metrics struct {
 	// absent on cacheless daemons.
 	ResultStore *StoreMetrics `json:"result_store,omitempty"`
 
-	// Resilience block (PR 10). HedgesLaunched/HedgesWon count straggler
-	// flights raced against a local backup; hedges never double-count
-	// SimulationsRun because only the winning attempt finishes the
-	// flight.
+	// Resilience block. HedgesLaunched/HedgesWon count straggler flights
+	// raced against a second attempt on another fleet worker; hedges
+	// never double-count simulations because only the winning attempt
+	// finishes the flight.
 	HedgesLaunched uint64 `json:"hedges_launched,omitempty"`
 	HedgesWon      uint64 `json:"hedges_won,omitempty"`
 	// PoisonQuarantined counts flights failed after killing
@@ -229,6 +226,7 @@ type WorkerMetrics struct {
 
 // Metrics returns a consistent snapshot of the manager's counters.
 func (m *Manager) Metrics() Metrics {
+	fs := m.fleet.Stats()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Metrics{
@@ -244,11 +242,11 @@ func (m *Manager) Metrics() Metrics {
 		JobsRetained:      len(m.jobs),
 		SimulationsRun:    m.counters.simulations,
 		RemoteSimulations: m.counters.remoteSims,
-		JobsRequeued:      m.counters.requeued,
+		JobsRequeued:      uint64(fs.Retries),
 		CacheHits:         m.counters.cacheHits,
-		HedgesLaunched:    m.counters.hedgesLaunched,
-		HedgesWon:         m.counters.hedgesWon,
-		PoisonQuarantined: m.counters.quarantined,
+		HedgesLaunched:    uint64(fs.HedgesLaunched),
+		HedgesWon:         uint64(fs.HedgesWon),
+		PoisonQuarantined: uint64(fs.Quarantined),
 		DeadlineExpired:   m.counters.deadlineExpired,
 		DeadlineShed:      m.counters.deadlineShed,
 	}

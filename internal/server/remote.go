@@ -38,25 +38,36 @@ const ErrCodeDeadlineUnmeetable = "deadline_unmeetable"
 // enforce the caller's context deadline queue-side.
 const DeadlineHeader = "X-Ccsimd-Deadline-Ms"
 
-// Remote is an execution backend that runs one job off-process — in
-// practice a peer ccsimd daemon reached through internal/client's Peer
-// adapter (the interface lives here, not in the client package, so the
-// manager can depend on it without an import cycle). A Manager
-// configured with Remotes dedicates Slots() worker goroutines to each,
-// turning one daemon into the front of a fleet: queued flights are
-// pulled by whichever worker — local or remote — frees up first.
+// ErrPermanent marks a failure of the job itself — a config the worker
+// rejected as invalid (HTTP 400), or a simulation that failed in
+// process — which would recur identically on any worker.
+var ErrPermanent = errors.New("server: permanent job failure")
+
+// Remote is an execution backend that runs one job: a peer ccsimd
+// daemon reached through internal/client's Peer adapter, or Local, the
+// in-process worker (the interface lives here, not in the client
+// package, so the manager can depend on it without an import cycle).
+// A Fleet holds up to Slots() attempts on each Remote at once.
 //
-// Run must distinguish the two failure modes the manager treats
-// differently: a *RemoteJobError means the peer accepted the job and
-// the simulation itself failed (the flight fails — retrying elsewhere
-// would fail identically); any other error means the peer is
-// unreachable or unhealthy, and the flight is handed back to the queue
-// for another worker.
+// Run's outcome is classified once, by the fleet, for every caller:
+//
+//   - success: the job is done;
+//   - a *RemoteJobError (the simulation failed) or ErrPermanent (the
+//     config was rejected): the job fails — retrying elsewhere would
+//     fail identically;
+//   - a deadline failure (a *RemoteJobError with Reason ReasonDeadline,
+//     or ErrDeadlineExceeded for an admission shed): retry on another
+//     worker while the job's deadline has not passed; the worker's
+//     breaker is untouched and it is not a crash;
+//   - ErrIneligible: retry on another worker, with no tried mark and no
+//     crash — the worker is healthy, it just must not run this job;
+//   - anything else is a transport failure: the worker's breaker
+//     records a failure and the job a crash (poison quarantine).
 type Remote interface {
 	// Name identifies the backend in logs and errors (its base URL).
 	Name() string
-	// Slots is the backend's concurrent-job capacity: how many worker
-	// goroutines the manager dedicates to it.
+	// Slots is the backend's concurrent-job capacity: how many attempts
+	// the fleet runs on it at once.
 	Slots() int
 	// Run executes one job to a terminal state and returns its final
 	// status (result included). Cancelling ctx must cancel the remote
@@ -66,8 +77,7 @@ type Remote interface {
 
 // RemoteJobError reports a job that a remote daemon accepted and then
 // finished unsuccessfully — failed or canceled server-side — as opposed
-// to a transport error, after which the peer's state is unknown and the
-// job is retryable on another worker.
+// to a transport error, after which the peer's state is unknown.
 type RemoteJobError struct {
 	Endpoint string   // base URL of the daemon that ran the job
 	JobID    string   // the daemon's job ID

@@ -150,8 +150,9 @@ func TestSubmitDeadlineHeaderSheds(t *testing.T) {
 }
 
 // TestManagerHedgesStragglerPeer: with HedgeAfter set, a flight stuck
-// on a straggling peer gets a local second attempt; the first result
-// wins, the loser is cancelled, the peer keeps its slot, and
+// on a straggling peer gets a second attempt on the front's local
+// worker (a fleet worker like any other, hence Workers: 1); the first
+// result wins, the loser is cancelled, the peer keeps its slot, and
 // SimulationsRun is never double-counted.
 func TestManagerHedgesStragglerPeer(t *testing.T) {
 	var calls atomic.Int64
@@ -167,7 +168,7 @@ func TestManagerHedgesStragglerPeer(t *testing.T) {
 		return JobStatus{State: StateDone, Result: &results[0]}, nil
 	}}
 	m := NewManager(ManagerConfig{
-		Workers:    NoLocalWorkers,
+		Workers:    1,
 		Remotes:    []Remote{peer},
 		HedgeAfter: 40 * time.Millisecond,
 	})

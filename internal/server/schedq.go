@@ -37,7 +37,7 @@ type tenantSub struct {
 	maxConcurrent int
 	flights       []*flight
 	deficit       int
-	running       int // flights picked and not yet finished or handed back
+	running       int // flights picked and not yet finished
 }
 
 func newSchedQueue(capacity int) *schedQueue {
@@ -128,8 +128,7 @@ func (q *schedQueue) serve(s *tenantSub) *flight {
 	return f
 }
 
-// release returns the running slot a picked flight held, on finish or
-// hand-back.
+// release returns the running slot a picked flight held, on finish.
 func (q *schedQueue) release(f *flight) {
 	if s := q.subs[f.tenant]; s != nil && s.running > 0 {
 		s.running--

@@ -103,18 +103,6 @@ func (s *resultStore) Put(key string, res sim.Result) error {
 	return nil
 }
 
-// promote inserts res into the hot tier without touching the cold
-// tier — for results whose persistent write already happened elsewhere
-// (the local execution path, where sweep.Run owns the cache write).
-func (s *resultStore) promote(key string, res sim.Result) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.promoteLocked(key, res)
-	s.mu.Unlock()
-}
-
 // promoteLocked inserts (or refreshes) key at the LRU front, evicting
 // the coldest entry beyond capacity. Caller holds s.mu.
 func (s *resultStore) promoteLocked(key string, res sim.Result) {

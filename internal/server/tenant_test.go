@@ -203,21 +203,6 @@ func TestResultStoreLRU(t *testing.T) {
 		}
 	}
 
-	// promote fills the hot tier only — the local execution path, where
-	// sweep.Run owns the persistent write. It still evicts past
-	// capacity and the promoted key serves as a hot hit.
-	s.promote("hot-only", res(7))
-	m = s.metrics()
-	if m.HotEntries != 2 || m.Evictions != 3 {
-		t.Fatalf("after promote into full tier: %+v", m)
-	}
-	if r, ok := s.Lookup("hot-only"); !ok || r.CPUCycles != 8 {
-		t.Fatalf("promoted entry = %+v, %v", r, ok)
-	}
-	if _, ok := cache.Lookup("hot-only"); ok {
-		t.Fatal("promote wrote the persistent tier")
-	}
-
 	// Nil store (cacheless manager): every operation is a no-op miss.
 	var nilStore *resultStore
 	if _, ok := nilStore.Lookup("k"); ok {
@@ -226,7 +211,6 @@ func TestResultStoreLRU(t *testing.T) {
 	if err := nilStore.Put("k", sim.Result{}); err != nil {
 		t.Fatal(err)
 	}
-	nilStore.promote("k", sim.Result{})
 	if nilStore.metrics() != nil {
 		t.Fatal("nil store has metrics")
 	}

@@ -59,24 +59,30 @@ race:
 	$(GO) test -race ./internal/memctrl ./internal/dram
 	$(GO) test -race ./internal/cache ./internal/core ./internal/cpu ./internal/prof
 
-# fuzz-smoke runs a short coverage-guided fuzz session over the trace
-# reader (malformed lines, huge tokens, truncated files), pinning the
-# wrapped-error line attribution the daemon relies on when a 2 GB
-# trace has one bad line. Corpus finds land in internal/trace/testdata.
+# fuzz-smoke runs two short coverage-guided fuzz sessions (Go fuzzes
+# one target per run). FuzzReader covers the trace reader (malformed
+# lines, huge tokens, truncated files), pinning the wrapped-error line
+# attribution the daemon relies on when a 2 GB trace has one bad line.
+# FuzzEngines decodes bytes into bounded 1-8 core configs and demands
+# bit-identical Results from the event-driven engine and the reference
+# stepper, with both command streams protocol-checked. Crashers land in
+# each package's testdata/fuzz; commit them as regressions.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReader -fuzztime=20s -run '^$$' ./internal/trace
+	$(GO) test -fuzz=FuzzEngines -fuzztime=20s -run '^$$' ./internal/sim
 
 # gateway-e2e runs the multi-tenant fault-injection suite headlessly
 # under the race detector: the 3-tenant / 3-daemon campaign with a peer
-# killed mid-flight, auth/429 storms, half-written SSE streams, and
-# journal corruption. On failure each test dumps its job journal and a
-# metrics snapshot into CCSIMD_FAULT_ARTIFACTS for upload.
+# killed mid-flight, auth/429 storms, half-written SSE streams, journal
+# corruption, and the job-visibility table over every job-addressed
+# route. On failure each test dumps its job journal and a metrics
+# snapshot into CCSIMD_FAULT_ARTIFACTS for upload.
 CCSIMD_FAULT_ARTIFACTS ?= $(CURDIR)/fault-artifacts
 .PHONY: gateway-e2e
 gateway-e2e: soak
 	CCSIMD_FAULT_ARTIFACTS=$(CCSIMD_FAULT_ARTIFACTS) $(GO) test -race -count=1 \
-		-run 'TestFleetFaultCampaign|TestGatewayAuthStorm|TestChaosClientStorms|TestSSETruncationHeals|TestJournalCorruptionRecovery|TestJournalProperty|TestMetricsTenantConcurrency' \
+		-run 'TestFleetFaultCampaign|TestGatewayAuthStorm|TestChaosClientStorms|TestSSETruncationHeals|TestJournalCorruptionRecovery|TestJournalProperty|TestMetricsTenantConcurrency|TestJobVisibilityRoutes' \
 		./internal/server
 
 # soak is the self-healing acceptance campaign under the race detector:

@@ -282,13 +282,13 @@ func soakOnce(t *testing.T, seed uint64) {
 		t.Fatal(err)
 	}
 	time.Sleep(2 * time.Millisecond) // let the probe window lapse
-	sts, err := aM.Submit([]server.JobSpec{{Label: "restore-probe", Config: tinyCfg("lbm", seed*1000+900)}})
+	sts, err := aM.Submit(server.Tenant{}, []server.JobSpec{{Label: "restore-probe", Config: tinyCfg("lbm", seed*1000+900)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		st, err := aM.Job(sts[0].ID)
+		st, err := aM.Job(server.Tenant{}, sts[0].ID)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -273,20 +273,20 @@ func TestMetricsConcurrent(t *testing.T) {
 
 	var ids []string
 	for i := uint64(0); i < 12; i++ {
-		sts, err := m.Submit([]JobSpec{{Config: analysisCfg(500 + i)}})
+		sts, err := m.Submit(Tenant{}, []JobSpec{{Config: analysisCfg(500 + i)}})
 		if err != nil { // queue full under slow CI is fine; keep hammering
 			time.Sleep(time.Millisecond)
 			continue
 		}
 		ids = append(ids, sts[0].ID)
 		if i%3 == 2 {
-			_, _ = m.Cancel(sts[0].ID)
+			_, _ = m.Cancel(operator, sts[0].ID)
 		}
 	}
 	for _, id := range ids {
 		deadline := time.Now().Add(120 * time.Second)
 		for {
-			st, err := m.Job(id)
+			st, err := m.Job(operator, id)
 			if err != nil || st.State.Terminal() {
 				break
 			}

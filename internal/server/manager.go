@@ -21,6 +21,12 @@
 //     staging is weighted fair-share across tenants (schedq.go) with
 //     per-tenant queue/concurrency quotas; without one the manager
 //     degenerates to the original single-FIFO behavior exactly,
+//   - one visibility rule: every job operation (Submit, Job, ListJobs,
+//     Cancel, Subscribe, SubscribeAnalysis, Analysis) takes the caller,
+//     and canSee decides for live and journaled jobs alike — open mode,
+//     gateways, the owner, and anyone for an owner-less job may see it;
+//     to everyone else it is ErrUnknownJob, the same answer as an ID
+//     never issued,
 //   - one execution core: local workers and peer daemons (Remotes) are
 //     workers of one Fleet (fleet.go) behind one worker loop, so peer
 //     health, retries, hedging and poison quarantine follow the same
@@ -458,22 +464,16 @@ func (m *Manager) StorageDegraded() bool {
 	return degraded
 }
 
-// Submit validates and enqueues a batch of jobs as the anonymous
-// caller — the open-mode entry point, byte-identical to the
-// pre-gateway behavior when no registry is configured.
-func (m *Manager) Submit(specs []JobSpec) ([]JobStatus, error) {
-	return m.SubmitAs(Tenant{}, specs)
-}
-
-// SubmitAs validates and enqueues a batch of jobs atomically on behalf
-// of caller: either every spec is accepted (each getting a job ID) or
-// none is. Identical configs — within the batch or against jobs
-// already queued/running, across tenants — share one simulation;
-// configs already in the result store complete immediately without
-// queueing. Batches that would push the owning tenant past MaxQueued
-// fail with a QuotaError; batches overflowing the shared queue either
-// preempt queued lower-priority flights or fail ErrQueueFull.
-func (m *Manager) SubmitAs(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
+// Submit validates and enqueues a batch of jobs atomically on behalf
+// of caller (the zero Tenant in open mode): either every spec is
+// accepted (each getting a job ID) or none is. Identical configs —
+// within the batch or against jobs already queued/running, across
+// tenants — share one simulation; configs already in the result store
+// complete immediately without queueing. Batches that would push the
+// owning tenant past MaxQueued fail with a QuotaError; batches
+// overflowing the shared queue either preempt queued lower-priority
+// flights or fail ErrQueueFull.
+func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("server: empty submission")
 	}
@@ -732,138 +732,71 @@ func (m *Manager) attachLocked(j *job, f *flight, owner Tenant) {
 	}
 }
 
-// Job returns the status of one job, result included when done.
-func (m *Manager) Job(id string) (JobStatus, error) {
+// canSee is the one visibility rule for job-addressed operations, live
+// and journaled jobs alike: caller may observe (or act on) a job owned
+// by owner in open mode (no registry), as a Gateway principal (fleet
+// fronts, operators), as its owner, or when the job has no owner — an
+// open-mode submission or a journal generation written before the
+// registry existed. Over HTTP on a registry daemon every submission has
+// an owner. Everything else reads exactly like an unknown job.
+func canSee(registry *Registry, caller Tenant, owner string) bool {
+	return registry == nil || caller.Gateway || owner == "" || owner == caller.Name
+}
+
+// visibleLocked returns the live job id when caller may see it, nil
+// when it is unknown, evicted or invisible. A nil answer may fall
+// through to the journal: a job's owner never changes, so its journal
+// entry is judged the same way. Caller holds m.mu.
+func (m *Manager) visibleLocked(caller Tenant, id string) *job {
+	if j, ok := m.jobs[id]; ok && canSee(m.registry, caller, j.tenant) {
+		return j
+	}
+	return nil
+}
+
+// Job returns the status of one job caller may see, result included
+// when done.
+func (m *Manager) Job(caller Tenant, id string) (JobStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
+	j := m.visibleLocked(caller, id)
+	if j == nil {
 		return JobStatus{}, ErrUnknownJob
 	}
 	return m.statusLocked(j, true), nil
 }
 
-// Jobs lists every job in submission order, without result payloads.
-func (m *Manager) Jobs() []JobStatus {
+// ListJobs lists the jobs caller may see, without result payloads:
+// every retained job in submission order when ids is nil, otherwise the
+// named ones, omitting unknown, evicted and invisible IDs alike.
+func (m *Manager) ListJobs(caller Tenant, ids []string) []JobStatus {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]JobStatus, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.statusLocked(m.jobs[id], false))
+	if ids == nil {
+		ids = m.order
 	}
-	return out
-}
-
-// JobsByID returns the statuses of the named jobs, without result
-// payloads, omitting IDs the manager no longer (or never) knew.
-func (m *Manager) JobsByID(ids []string) []JobStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	out := make([]JobStatus, 0, len(ids))
 	for _, id := range ids {
-		if j, ok := m.jobs[id]; ok {
+		if j := m.visibleLocked(caller, id); j != nil {
 			out = append(out, m.statusLocked(j, false))
 		}
 	}
 	return out
 }
 
-// Cancel moves a non-terminal job to canceled. A queued simulation
-// whose subscribers are all canceled is skipped entirely; a running
-// one finishes (a single simulation cannot be interrupted) and its
-// result is still cached, but no canceled job flips back to done.
-func (m *Manager) Cancel(id string) (JobStatus, error) {
+// Jobs lists every retained job in submission order, without result
+// payloads.
+func (m *Manager) Jobs() []JobStatus { return m.ListJobs(Tenant{Gateway: true}, nil) }
+
+// Cancel moves a non-terminal job caller may see to canceled. A queued
+// simulation whose subscribers are all canceled is skipped entirely; a
+// running one finishes (a single simulation cannot be interrupted) and
+// its result is still cached, but no canceled job flips back to done.
+func (m *Manager) Cancel(caller Tenant, id string) (JobStatus, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return JobStatus{}, ErrUnknownJob
-	}
-	if j.state.Terminal() {
-		return m.statusLocked(j, true), nil
-	}
-	m.cancelJobLocked(j, "canceled by client")
-	st := m.statusLocked(j, true)
-	m.pruneLocked()
-	return st, nil
-}
-
-// canSeeLocked reports whether caller may observe (or act on) j: in
-// open mode everyone sees everything; with a registry, tenants see only
-// their own jobs while Gateway principals (fleet fronts, operators)
-// see all.
-func (m *Manager) canSeeLocked(caller Tenant, j *job) bool {
-	return m.registry == nil || caller.Gateway || j.tenant == caller.Name
-}
-
-// JobAs is Job scoped to caller's visibility; another tenant's job
-// reads as unknown, never leaking its existence.
-func (m *Manager) JobAs(caller Tenant, id string) (JobStatus, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok || !m.canSeeLocked(caller, j) {
-		return JobStatus{}, ErrUnknownJob
-	}
-	return m.statusLocked(j, true), nil
-}
-
-// JobsAs is Jobs scoped to caller's visibility.
-func (m *Manager) JobsAs(caller Tenant) []JobStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]JobStatus, 0, len(m.order))
-	for _, id := range m.order {
-		if j := m.jobs[id]; m.canSeeLocked(caller, j) {
-			out = append(out, m.statusLocked(j, false))
-		}
-	}
-	return out
-}
-
-// JobsByIDAs is JobsByID scoped to caller's visibility; invisible IDs
-// are omitted exactly like unknown ones.
-func (m *Manager) JobsByIDAs(caller Tenant, ids []string) []JobStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := m.jobs[id]; ok && m.canSeeLocked(caller, j) {
-			out = append(out, m.statusLocked(j, false))
-		}
-	}
-	return out
-}
-
-// jobVisibleAs reports whether caller may reference job id, consulting
-// the live table then the durable journal (for evicted and pre-restart
-// IDs). Unknown IDs read as visible — the downstream lookup 404s
-// uniformly, so invisibility and nonexistence are indistinguishable.
-func (m *Manager) jobVisibleAs(caller Tenant, id string) bool {
-	if m.registry == nil || caller.Gateway {
-		return true
-	}
-	m.mu.Lock()
-	if j, ok := m.jobs[id]; ok {
-		vis := j.tenant == caller.Name
-		m.mu.Unlock()
-		return vis
-	}
-	m.mu.Unlock()
-	if e, ok := m.journal.lookup(id); ok {
-		// Pre-gateway journal generations carry no tenant; their results
-		// were produced in open mode and stay readable.
-		return e.Tenant == "" || e.Tenant == caller.Name
-	}
-	return true
-}
-
-// CancelAs is Cancel scoped to caller's visibility.
-func (m *Manager) CancelAs(caller Tenant, id string) (JobStatus, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok || !m.canSeeLocked(caller, j) {
+	j := m.visibleLocked(caller, id)
+	if j == nil {
 		return JobStatus{}, ErrUnknownJob
 	}
 	if j.state.Terminal() {
@@ -1337,7 +1270,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 				m.cancelJobLocked(j, "server shutting down")
 			}
 		}
-		// SubmitAs holds mu and checks draining, so no racing push;
+		// Submit holds mu and checks draining, so no racing push;
 		// workers exit nextFlight once nothing startable remains.
 		m.qclosed = true
 		m.qcond.Broadcast()

@@ -29,7 +29,7 @@ func TestFairShareAlternates(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 32, Tenants: reg})
 	defer drainManager(t, m)
 
-	blocker, err := m.SubmitAs(Tenant{Name: "a"}, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.Submit(Tenant{Name: "a"}, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,14 +37,14 @@ func TestFairShareAlternates(t *testing.T) {
 
 	var ids []string
 	for i := uint64(0); i < 4; i++ {
-		sts, err := m.SubmitAs(Tenant{Name: "a"}, []JobSpec{{Label: "a", Config: tinyCfg(1000 + i)}})
+		sts, err := m.Submit(Tenant{Name: "a"}, []JobSpec{{Label: "a", Config: tinyCfg(1000 + i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, sts[0].ID)
 	}
 	for i := uint64(0); i < 4; i++ {
-		sts, err := m.SubmitAs(Tenant{Name: "b"}, []JobSpec{{Label: "b", Config: tinyCfg(2000 + i)}})
+		sts, err := m.Submit(Tenant{Name: "b"}, []JobSpec{{Label: "b", Config: tinyCfg(2000 + i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestFairShareWeights(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 64, Tenants: reg})
 	defer drainManager(t, m)
 
-	blocker, err := m.SubmitAs(Tenant{Name: "light"}, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.Submit(Tenant{Name: "light"}, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestFairShareWeights(t *testing.T) {
 
 	var ids []string
 	for i := uint64(0); i < 6; i++ {
-		h, err := m.SubmitAs(Tenant{Name: "heavy"}, []JobSpec{{Label: "h", Config: tinyCfg(3000 + i)}})
+		h, err := m.Submit(Tenant{Name: "heavy"}, []JobSpec{{Label: "h", Config: tinyCfg(3000 + i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, err := m.SubmitAs(Tenant{Name: "light"}, []JobSpec{{Label: "l", Config: tinyCfg(4000 + i)}})
+		l, err := m.Submit(Tenant{Name: "light"}, []JobSpec{{Label: "l", Config: tinyCfg(4000 + i)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestMaxConcurrent(t *testing.T) {
 	defer drainManager(t, m)
 
 	caller := Tenant{Name: "capped"}
-	b1, err := m.SubmitAs(caller, []JobSpec{{Label: "b1", Config: blockerCfg()}})
+	b1, err := m.Submit(caller, []JobSpec{{Label: "b1", Config: blockerCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +164,14 @@ func TestMaxConcurrent(t *testing.T) {
 
 	cfg := blockerCfg()
 	cfg.Seed = 100 // distinct key so it cannot dedup onto b1
-	b2, err := m.SubmitAs(caller, []JobSpec{{Label: "b2", Config: cfg}})
+	b2, err := m.Submit(caller, []JobSpec{{Label: "b2", Config: cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// b2 must stay queued while b1 runs despite the idle second worker.
 	time.Sleep(50 * time.Millisecond)
-	if st, _ := m.Job(b2[0].ID); st.State != StateQueued {
+	if st, _ := m.Job(operator, b2[0].ID); st.State != StateQueued {
 		t.Fatalf("second job is %s, want queued under max_concurrent=1", st.State)
 	}
 	waitState(t, m, b1[0].ID, StateDone)
@@ -189,28 +189,28 @@ func TestMaxQueuedQuota(t *testing.T) {
 	defer drainManager(t, m)
 
 	small := Tenant{Name: "small"}
-	blocker, err := m.SubmitAs(small, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.Submit(small, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, blocker[0].ID, StateRunning)
 
 	for i := uint64(0); i < 2; i++ {
-		if _, err := m.SubmitAs(small, []JobSpec{{Config: tinyCfg(5000 + i)}}); err != nil {
+		if _, err := m.Submit(small, []JobSpec{{Config: tinyCfg(5000 + i)}}); err != nil {
 			t.Fatalf("queued submission %d: %v", i, err)
 		}
 	}
-	_, err = m.SubmitAs(small, []JobSpec{{Config: tinyCfg(5100)}})
+	_, err = m.Submit(small, []JobSpec{{Config: tinyCfg(5100)}})
 	var qe *QuotaError
 	if !errors.As(err, &qe) || qe.Quota != "queued" || qe.Tenant != "small" || qe.Limit != 2 {
 		t.Fatalf("over-quota submit = %v, want QuotaError{queued, small, 2}", err)
 	}
 	// Batches are all-or-nothing against the quota too.
-	if _, err := m.SubmitAs(small, []JobSpec{{Config: tinyCfg(5101)}, {Config: tinyCfg(5102)}}); !errors.As(err, &qe) {
+	if _, err := m.Submit(small, []JobSpec{{Config: tinyCfg(5101)}, {Config: tinyCfg(5102)}}); !errors.As(err, &qe) {
 		t.Fatalf("over-quota batch = %v, want QuotaError", err)
 	}
 	// The other tenant still has the whole shared queue.
-	if _, err := m.SubmitAs(Tenant{Name: "other"}, []JobSpec{{Config: tinyCfg(5200)}}); err != nil {
+	if _, err := m.Submit(Tenant{Name: "other"}, []JobSpec{{Config: tinyCfg(5200)}}); err != nil {
 		t.Fatalf("unaffected tenant rejected: %v", err)
 	}
 	if met := m.Metrics(); len(met.Tenants) == 0 {
@@ -237,36 +237,36 @@ func TestPriorityPreemption(t *testing.T) {
 	defer drainManager(t, m)
 
 	batch := Tenant{Name: "batch"}
-	blocker, err := m.SubmitAs(batch, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.Submit(batch, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, blocker[0].ID, StateRunning)
 
-	q1, err := m.SubmitAs(batch, []JobSpec{{Label: "q1", Config: tinyCfg(6001)}})
+	q1, err := m.Submit(batch, []JobSpec{{Label: "q1", Config: tinyCfg(6001)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := m.SubmitAs(batch, []JobSpec{{Label: "q2", Config: tinyCfg(6002)}})
+	q2, err := m.Submit(batch, []JobSpec{{Label: "q2", Config: tinyCfg(6002)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Queue full: same-priority overflow still fails...
-	if _, err := m.SubmitAs(batch, []JobSpec{{Config: tinyCfg(6003)}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit(batch, []JobSpec{{Config: tinyCfg(6003)}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("same-priority overflow: %v, want ErrQueueFull", err)
 	}
 	// ...but the urgent tenant preempts the newest queued batch job.
-	urgent, err := m.SubmitAs(Tenant{Name: "urgent"}, []JobSpec{{Label: "now", Config: tinyCfg(6010)}})
+	urgent, err := m.Submit(Tenant{Name: "urgent"}, []JobSpec{{Label: "now", Config: tinyCfg(6010)}})
 	if err != nil {
 		t.Fatalf("priority submission rejected at full queue: %v", err)
 	}
 
-	if st, _ := m.Job(q2[0].ID); st.State != StateCanceled {
+	if st, _ := m.Job(operator, q2[0].ID); st.State != StateCanceled {
 		t.Fatalf("newest low-priority job is %s, want canceled (preempted)", st.State)
 	} else if st.Error == "" {
 		t.Error("preempted job has no explanatory error")
 	}
-	if st, _ := m.Job(q1[0].ID); st.State != StateQueued {
+	if st, _ := m.Job(operator, q1[0].ID); st.State != StateQueued {
 		t.Fatalf("older low-priority job is %s, want still queued (only `need` victims)", st.State)
 	}
 
@@ -274,8 +274,8 @@ func TestPriorityPreemption(t *testing.T) {
 	waitState(t, m, q1[0].ID, StateDone)
 
 	// Urgent must have started before the surviving batch job.
-	u, _ := m.Job(urgent[0].ID)
-	b1, _ := m.Job(q1[0].ID)
+	u, _ := m.Job(operator, urgent[0].ID)
+	b1, _ := m.Job(operator, q1[0].ID)
 	if u.StartedAt == nil || b1.StartedAt == nil || b1.StartedAt.Before(*u.StartedAt) {
 		t.Error("high-priority job did not start before queued low-priority work")
 	}
@@ -288,7 +288,7 @@ func TestPriorityPreemption(t *testing.T) {
 	}
 
 	// The running blocker was never touched.
-	if st, _ := m.Job(blocker[0].ID); st.State != StateDone && st.State != StateRunning {
+	if st, _ := m.Job(operator, blocker[0].ID); st.State != StateDone && st.State != StateRunning {
 		t.Fatalf("running job was preempted: %s", st.State)
 	}
 }
@@ -303,25 +303,25 @@ func TestPreemptionAllOrNothing(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 2, Tenants: reg})
 	defer drainManager(t, m)
 
-	blocker, err := m.SubmitAs(Tenant{Name: "urgent"}, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.Submit(Tenant{Name: "urgent"}, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, blocker[0].ID, StateRunning)
 	// One urgent and one batch job fill the queue: only the batch one
 	// is preemptible, so a 2-wide urgent batch (needing 2 slots) fails.
-	uq, err := m.SubmitAs(Tenant{Name: "urgent"}, []JobSpec{{Config: tinyCfg(7001)}})
+	uq, err := m.Submit(Tenant{Name: "urgent"}, []JobSpec{{Config: tinyCfg(7001)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bq, err := m.SubmitAs(Tenant{Name: "batch"}, []JobSpec{{Config: tinyCfg(7002)}})
+	bq, err := m.Submit(Tenant{Name: "batch"}, []JobSpec{{Config: tinyCfg(7002)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SubmitAs(Tenant{Name: "urgent"}, []JobSpec{{Config: tinyCfg(7003)}, {Config: tinyCfg(7004)}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit(Tenant{Name: "urgent"}, []JobSpec{{Config: tinyCfg(7003)}, {Config: tinyCfg(7004)}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("partial-preemption batch = %v, want ErrQueueFull", err)
 	}
-	if st, _ := m.Job(bq[0].ID); st.State != StateQueued {
+	if st, _ := m.Job(operator, bq[0].ID); st.State != StateQueued {
 		t.Fatalf("victim canceled by a rejected batch: %s", st.State)
 	}
 	waitState(t, m, uq[0].ID, StateDone)
@@ -340,12 +340,12 @@ func TestTenantVisibility(t *testing.T) {
 	defer drainManager(t, m)
 
 	a, b, fleet := Tenant{Name: "a"}, Tenant{Name: "b"}, reg.Lookup("fleet")
-	aj, err := m.SubmitAs(a, []JobSpec{{Label: "a-job", Config: tinyCfg(8001)}})
+	aj, err := m.Submit(a, []JobSpec{{Label: "a-job", Config: tinyCfg(8001)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A gateway submits on b's behalf.
-	bj, err := m.SubmitAs(fleet, []JobSpec{{Label: "b-job", Config: tinyCfg(8002), Tenant: "b"}})
+	bj, err := m.Submit(fleet, []JobSpec{{Label: "b-job", Config: tinyCfg(8002), Tenant: "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,53 +353,56 @@ func TestTenantVisibility(t *testing.T) {
 	waitState(t, m, bj[0].ID, StateDone)
 
 	// Attribution followed the spec, not the gateway caller.
-	if st, err := m.JobAs(b, bj[0].ID); err != nil || st.Tenant != "b" {
+	if st, err := m.Job(b, bj[0].ID); err != nil || st.Tenant != "b" {
 		t.Fatalf("gateway-submitted job: tenant %q, err %v; want b's job visible to b", st.Tenant, err)
 	}
 	// A non-gateway tenant cannot spoof attribution...
-	cj, err := m.SubmitAs(a, []JobSpec{{Label: "spoof", Config: tinyCfg(8003), Tenant: "b"}})
+	cj, err := m.Submit(a, []JobSpec{{Label: "spoof", Config: tinyCfg(8003), Tenant: "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, _ := m.JobAs(a, cj[0].ID); st.Tenant != "a" {
+	if st, _ := m.Job(a, cj[0].ID); st.Tenant != "a" {
 		t.Fatalf("non-gateway caller attributed a job to %q", st.Tenant)
 	}
 
 	// ...and cannot see, cancel, or even confirm the existence of
 	// another tenant's job.
-	if _, err := m.JobAs(b, aj[0].ID); !errors.Is(err, ErrUnknownJob) {
+	if _, err := m.Job(b, aj[0].ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("cross-tenant Job = %v, want ErrUnknownJob", err)
 	}
-	if _, err := m.CancelAs(b, aj[0].ID); !errors.Is(err, ErrUnknownJob) {
+	if _, err := m.Cancel(b, aj[0].ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("cross-tenant Cancel = %v, want ErrUnknownJob", err)
 	}
-	if m.jobVisibleAs(b, aj[0].ID) {
-		t.Error("cross-tenant job visible through jobVisibleAs")
+	if _, err := m.Analysis(b, aj[0].ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("cross-tenant Analysis = %v, want ErrUnknownJob", err)
+	}
+	if _, _, _, err := m.Subscribe(b, aj[0].ID, 0); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("cross-tenant Subscribe = %v, want ErrUnknownJob", err)
 	}
 
 	// Listings are filtered per caller; the gateway sees all.
-	if jobs := m.JobsAs(a); len(jobs) != 2 { // a-job + spoof
+	if jobs := m.ListJobs(a, nil); len(jobs) != 2 { // a-job + spoof
 		t.Errorf("a sees %d jobs, want 2", len(jobs))
 	}
-	if jobs := m.JobsAs(b); len(jobs) != 1 {
+	if jobs := m.ListJobs(b, nil); len(jobs) != 1 {
 		t.Errorf("b sees %d jobs, want 1", len(jobs))
 	}
-	if jobs := m.JobsAs(fleet); len(jobs) != 3 {
+	if jobs := m.ListJobs(fleet, nil); len(jobs) != 3 {
 		t.Errorf("gateway sees %d jobs, want 3", len(jobs))
 	}
-	if got := m.JobsByIDAs(b, []string{aj[0].ID, bj[0].ID}); len(got) != 1 {
+	if got := m.ListJobs(b, []string{aj[0].ID, bj[0].ID}); len(got) != 1 {
 		t.Errorf("filtered bulk lookup returned %d jobs, want 1", len(got))
 	}
 }
 
-// TestOpenModeSubmitCompat: with no registry, Submit and SubmitAs with
-// an anonymous caller behave identically to the pre-gateway manager —
-// spec.Tenant is honored as a label and everything is visible.
+// TestOpenModeSubmitCompat: with no registry, Submit with an anonymous
+// caller behaves identically to the pre-gateway manager — spec.Tenant
+// is honored as a label and everything is visible.
 func TestOpenModeSubmitCompat(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 8})
 	defer drainManager(t, m)
 
-	sts, err := m.Submit([]JobSpec{{Label: "open", Config: tinyCfg(9001), Tenant: "team-x"}})
+	sts, err := m.Submit(Tenant{}, []JobSpec{{Label: "open", Config: tinyCfg(9001), Tenant: "team-x"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +411,7 @@ func TestOpenModeSubmitCompat(t *testing.T) {
 		t.Errorf("open-mode tenant label = %q, want team-x", st.Tenant)
 	}
 	// Any caller sees it.
-	if _, err := m.JobAs(Tenant{Name: "someone-else"}, sts[0].ID); err != nil {
+	if _, err := m.Job(Tenant{Name: "someone-else"}, sts[0].ID); err != nil {
 		t.Errorf("open-mode visibility: %v", err)
 	}
 }
@@ -481,7 +484,7 @@ func TestMetricsTenantConcurrency(t *testing.T) {
 					// bucket here so RateTokens moves under load.
 					reg.AllowSubmit("r")
 				}
-				sts, err := m.SubmitAs(caller, []JobSpec{{Config: tinyCfg(uint64(10_000 + w*1000 + i))}})
+				sts, err := m.Submit(caller, []JobSpec{{Config: tinyCfg(uint64(10_000 + w*1000 + i))}})
 				if err != nil {
 					var qe *QuotaError
 					if errors.As(err, &qe) || errors.Is(err, ErrQueueFull) {
@@ -492,7 +495,7 @@ func TestMetricsTenantConcurrency(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					m.CancelAs(caller, sts[0].ID)
+					m.Cancel(caller, sts[0].ID)
 				}
 			}
 		}(w)

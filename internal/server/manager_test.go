@@ -36,10 +36,14 @@ func blockerCfg() sim.Config {
 	return cfg
 }
 
+// operator sees every job in open and registry mode alike, the caller
+// the tests use to inspect manager state.
+var operator = Tenant{Gateway: true}
+
 // submitOne pushes a single spec and returns its job ID.
 func submitOne(t *testing.T, m *Manager, label string, cfg sim.Config) string {
 	t.Helper()
-	sts, err := m.Submit([]JobSpec{{Label: label, Config: cfg}})
+	sts, err := m.Submit(Tenant{}, []JobSpec{{Label: label, Config: cfg}})
 	if err != nil {
 		t.Fatalf("submit %s: %v", label, err)
 	}
@@ -52,7 +56,7 @@ func waitState(t *testing.T, m *Manager, id string, want JobState) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
-		st, err := m.Job(id)
+		st, err := m.Job(operator, id)
 		if err != nil {
 			t.Fatalf("job %s: %v", id, err)
 		}
@@ -95,7 +99,7 @@ func TestManagerSingleflightDedup(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			sts, err := m.Submit([]JobSpec{{Label: "dup", Config: cfg}})
+			sts, err := m.Submit(Tenant{}, []JobSpec{{Label: "dup", Config: cfg}})
 			if err != nil {
 				t.Errorf("concurrent submit %d: %v", i, err)
 				return
@@ -144,11 +148,11 @@ func TestManagerCancelQueued(t *testing.T) {
 	blocker := submitOne(t, m, "blocker", blockerCfg())
 	waitState(t, m, blocker, StateRunning)
 	target := submitOne(t, m, "target", tinyCfg(7))
-	if st, _ := m.Job(target); st.State != StateQueued {
+	if st, _ := m.Job(operator, target); st.State != StateQueued {
 		t.Fatalf("target is %s, want queued", st.State)
 	}
 
-	st, err := m.Cancel(target)
+	st, err := m.Cancel(operator, target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +160,7 @@ func TestManagerCancelQueued(t *testing.T) {
 		t.Fatalf("cancel left job %s, want canceled", st.State)
 	}
 	// Cancel of a terminal job is a no-op, not an error.
-	if st, err = m.Cancel(target); err != nil || st.State != StateCanceled {
+	if st, err = m.Cancel(operator, target); err != nil || st.State != StateCanceled {
 		t.Fatalf("second cancel: %v (state %s)", err, st.State)
 	}
 
@@ -178,10 +182,10 @@ func TestManagerCancelQueued(t *testing.T) {
 func TestManagerCancelUnknown(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 1})
 	defer drainManager(t, m)
-	if _, err := m.Cancel("job-999999"); !errors.Is(err, ErrUnknownJob) {
+	if _, err := m.Cancel(operator, "job-999999"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("cancel unknown: %v, want ErrUnknownJob", err)
 	}
-	if _, err := m.Job("job-999999"); !errors.Is(err, ErrUnknownJob) {
+	if _, err := m.Job(operator, "job-999999"); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("get unknown: %v, want ErrUnknownJob", err)
 	}
 }
@@ -210,17 +214,17 @@ func TestManagerDrain(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := m.Submit([]JobSpec{{Config: tinyCfg(4)}}); !errors.Is(err, ErrDraining) {
+	if _, err := m.Submit(Tenant{}, []JobSpec{{Config: tinyCfg(4)}}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining: %v, want ErrDraining", err)
 	}
 
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if st, _ := m.Job(running); st.State != StateDone {
+	if st, _ := m.Job(operator, running); st.State != StateDone {
 		t.Errorf("running job drained to %s, want done", st.State)
 	}
-	if st, _ := m.Job(queued); st.State != StateCanceled {
+	if st, _ := m.Job(operator, queued); st.State != StateCanceled {
 		t.Errorf("queued job drained to %s, want canceled", st.State)
 	}
 	// Drain is idempotent.
@@ -239,11 +243,11 @@ func TestManagerQueueFull(t *testing.T) {
 	waitState(t, m, blocker, StateRunning) // worker busy, queue empty
 	submitOne(t, m, "fills-queue", tinyCfg(1))
 
-	if _, err := m.Submit([]JobSpec{{Config: tinyCfg(2)}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit(Tenant{}, []JobSpec{{Config: tinyCfg(2)}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow submit: %v, want ErrQueueFull", err)
 	}
 	before := m.Metrics().JobsSubmitted
-	_, err := m.Submit([]JobSpec{{Config: tinyCfg(5)}, {Config: tinyCfg(6)}})
+	_, err := m.Submit(Tenant{}, []JobSpec{{Config: tinyCfg(5)}, {Config: tinyCfg(6)}})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow batch: %v, want ErrQueueFull", err)
 	}
@@ -253,7 +257,7 @@ func TestManagerQueueFull(t *testing.T) {
 
 	// Duplicates of queued work need no fresh slot: dedup keeps
 	// admitting them at full queue.
-	if _, err := m.Submit([]JobSpec{{Config: tinyCfg(1)}}); err != nil {
+	if _, err := m.Submit(Tenant{}, []JobSpec{{Config: tinyCfg(1)}}); err != nil {
 		t.Errorf("dedup submit at full queue: %v", err)
 	}
 }
@@ -270,7 +274,7 @@ func TestManagerResubmitAfterCancel(t *testing.T) {
 	waitState(t, m, blocker, StateRunning)
 	cfg := tinyCfg(55)
 	first := submitOne(t, m, "first", cfg)
-	if _, err := m.Cancel(first); err != nil {
+	if _, err := m.Cancel(operator, first); err != nil {
 		t.Fatal(err)
 	}
 
@@ -279,7 +283,7 @@ func TestManagerResubmitAfterCancel(t *testing.T) {
 	if st.Result == nil {
 		t.Fatal("resubmitted job finished without a result")
 	}
-	if got, _ := m.Job(first); got.State != StateCanceled {
+	if got, _ := m.Job(operator, first); got.State != StateCanceled {
 		t.Errorf("first job flipped to %s after resubmission", got.State)
 	}
 }
@@ -293,7 +297,7 @@ func TestManagerCancelDoesNotPoisonRunningFlight(t *testing.T) {
 
 	orig := submitOne(t, m, "orig", blockerCfg())
 	waitState(t, m, orig, StateRunning)
-	if _, err := m.Cancel(orig); err != nil {
+	if _, err := m.Cancel(operator, orig); err != nil {
 		t.Fatal(err)
 	}
 	attach := submitOne(t, m, "late-attacher", blockerCfg())
@@ -327,10 +331,10 @@ func TestManagerRetention(t *testing.T) {
 		keys = append(keys, st.Key)
 	}
 
-	if _, err := m.Job(ids[0]); !errors.Is(err, ErrUnknownJob) {
+	if _, err := m.Job(operator, ids[0]); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("oldest job survived retention: %v", err)
 	}
-	if _, err := m.Job(ids[3]); err != nil {
+	if _, err := m.Job(operator, ids[3]); err != nil {
 		t.Errorf("newest job evicted: %v", err)
 	}
 	if got := len(m.Jobs()); got != 2 {
@@ -356,12 +360,12 @@ func TestManagerCancelFreesQueueSlots(t *testing.T) {
 	waitState(t, m, blocker, StateRunning)
 	q1 := submitOne(t, m, "q1", tinyCfg(201))
 	q2 := submitOne(t, m, "q2", tinyCfg(202))
-	if _, err := m.Submit([]JobSpec{{Config: tinyCfg(203)}}); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit(Tenant{}, []JobSpec{{Config: tinyCfg(203)}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("queue not full: %v", err)
 	}
 
 	for _, id := range []string{q1, q2} {
-		if _, err := m.Cancel(id); err != nil {
+		if _, err := m.Cancel(operator, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,7 +388,7 @@ func TestManagerDrainCancelsKeylessFlight(t *testing.T) {
 	cfg.CustomMechanism = func(channel int, spec dram.Spec, fast, def dram.TimingClass) (core.Mechanism, error) {
 		return core.NewBaseline(def), nil
 	}
-	sts, err := m.Submit([]JobSpec{{Label: "keyless", Config: cfg}})
+	sts, err := m.Submit(Tenant{}, []JobSpec{{Label: "keyless", Config: cfg}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +397,7 @@ func TestManagerDrainCancelsKeylessFlight(t *testing.T) {
 	}
 
 	drainManager(t, m)
-	if st, _ := m.Job(sts[0].ID); st.State != StateCanceled {
+	if st, _ := m.Job(operator, sts[0].ID); st.State != StateCanceled {
 		t.Errorf("key-less queued job drained to %s, want canceled", st.State)
 	}
 	if met := m.Metrics(); met.SimulationsRun != 1 {
@@ -405,12 +409,12 @@ func TestManagerDrainCancelsKeylessFlight(t *testing.T) {
 func TestManagerSubmitValidation(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 1})
 	defer drainManager(t, m)
-	if _, err := m.Submit(nil); err == nil {
+	if _, err := m.Submit(Tenant{}, nil); err == nil {
 		t.Error("empty submission accepted")
 	}
 	bad := tinyCfg(1)
 	bad.Workloads = nil
-	if _, err := m.Submit([]JobSpec{{Config: bad}}); err == nil {
+	if _, err := m.Submit(Tenant{}, []JobSpec{{Config: bad}}); err == nil {
 		t.Error("invalid config accepted")
 	}
 }
@@ -426,7 +430,7 @@ func TestManagerBatchInternalDedup(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 2, QueueDepth: 8, Cache: cache})
 	defer drainManager(t, m)
 
-	sts, err := m.Submit([]JobSpec{
+	sts, err := m.Submit(Tenant{}, []JobSpec{
 		{Label: "a", Config: tinyCfg(1)},
 		{Label: "b", Config: tinyCfg(2)},
 		{Label: "a-again", Config: tinyCfg(1)},

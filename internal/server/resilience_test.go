@@ -28,7 +28,7 @@ func TestManagerDeadlineExpiresQueuedJob(t *testing.T) {
 	blocker := submitOne(t, m, "blocker", blockerCfg())
 	waitState(t, m, blocker, StateRunning)
 
-	sts, err := m.Submit([]JobSpec{{
+	sts, err := m.Submit(Tenant{}, []JobSpec{{
 		Label:      "doomed",
 		Config:     tinyCfg(50),
 		DeadlineMs: time.Now().Add(80 * time.Millisecond).UnixMilli(),
@@ -59,7 +59,7 @@ func TestManagerDeadlineShedsAtAdmission(t *testing.T) {
 	defer drainManager(t, m)
 
 	// Past deadline: shed even on an idle manager.
-	_, err := m.Submit([]JobSpec{{
+	_, err := m.Submit(Tenant{}, []JobSpec{{
 		Label:      "late",
 		Config:     tinyCfg(60),
 		DeadlineMs: time.Now().Add(-50 * time.Millisecond).UnixMilli(),
@@ -76,7 +76,7 @@ func TestManagerDeadlineShedsAtAdmission(t *testing.T) {
 	blocker := submitOne(t, m, "blocker", blockerCfg())
 	waitState(t, m, blocker, StateRunning)
 
-	_, err = m.Submit([]JobSpec{{
+	_, err = m.Submit(Tenant{}, []JobSpec{{
 		Label:      "unmeetable",
 		Config:     tinyCfg(62),
 		DeadlineMs: time.Now().Add(time.Millisecond).UnixMilli(),
@@ -241,7 +241,7 @@ func TestManagerPoisonQuarantine(t *testing.T) {
 
 	// Resubmitting the poison config fails fast instead of eating more
 	// workers.
-	_, err := m.Submit([]JobSpec{{Label: "again", Config: cfg}})
+	_, err := m.Submit(Tenant{}, []JobSpec{{Label: "again", Config: cfg}})
 	if !errors.Is(err, ErrQuarantined) {
 		t.Errorf("resubmit of quarantined config returned %v, want ErrQuarantined", err)
 	}

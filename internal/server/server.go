@@ -151,7 +151,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	statuses, err := s.manager.SubmitAs(t, specs)
+	statuses, err := s.manager.Submit(t, specs)
 	if err != nil {
 		var qe *QuotaError
 		if errors.As(err, &qe) {
@@ -202,15 +202,15 @@ func writeQuotaError(w http.ResponseWriter, qe *QuotaError) {
 // only the named ones (unknown/evicted IDs are silently omitted, so
 // pollers can detect eviction as absence).
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
+	var ids []string
 	if raw := r.URL.Query().Get("ids"); raw != "" {
-		writeJSON(w, http.StatusOK, SubmitResponse{Jobs: s.manager.JobsByIDAs(caller(r), strings.Split(raw, ","))})
-		return
+		ids = strings.Split(raw, ",")
 	}
-	writeJSON(w, http.StatusOK, SubmitResponse{Jobs: s.manager.JobsAs(caller(r))})
+	writeJSON(w, http.StatusOK, SubmitResponse{Jobs: s.manager.ListJobs(caller(r), ids)})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	st, err := s.manager.JobAs(caller(r), r.PathValue("id"))
+	st, err := s.manager.Job(caller(r), r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -219,7 +219,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	st, err := s.manager.CancelAs(caller(r), r.PathValue("id"))
+	st, err := s.manager.Cancel(caller(r), r.PathValue("id"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -256,35 +256,18 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleAnalysis serves a done job's perf-analyzer report. Job IDs the
-// manager no longer retains (restart, retention pruning) resolve
-// through the durable journal to the cached result. 404 covers every
-// remaining absence uniformly: unknown job, not finished yet, or a
-// config that never enabled analysis — the error text distinguishes
-// them.
+// handleAnalysis serves a done job's perf-analyzer report; evicted and
+// pre-restart job IDs resolve through the durable journal. 404 covers
+// every absence uniformly: unknown or invisible job, not finished yet,
+// or a config that never enabled analysis — the error text tells the
+// caller's own jobs apart.
 func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
-	st, err := s.manager.JobAs(caller(r), r.PathValue("id"))
+	rep, err := s.manager.Analysis(caller(r), r.PathValue("id"))
 	if err != nil {
-		if s.manager.jobVisibleAs(caller(r), r.PathValue("id")) {
-			if rep, ok := s.manager.AnalysisByJobID(r.PathValue("id")); ok {
-				writeJSON(w, http.StatusOK, rep)
-				return
-			}
-		}
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	if !st.State.Terminal() {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("server: job %s is %s; analysis is available once it is done", st.ID, st.State))
-		return
-	}
-	if st.Result == nil || st.Result.Analysis == nil {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("server: job %s carries no analysis report (submit with config.Analysis.Enabled)", st.ID))
-		return
-	}
-	writeJSON(w, http.StatusOK, st.Result.Analysis)
+	writeJSON(w, http.StatusOK, rep)
 }
 
 // Health is the /healthz body. Workers and TraceRoot let fleet

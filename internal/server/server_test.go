@@ -576,3 +576,137 @@ func TestHTTPSingleSpecForm(t *testing.T) {
 	}
 	pollDone(t, d, resp.Jobs[0].ID)
 }
+
+// TestJobVisibilityRoutes drives every job-addressed route as a job's
+// owner, as another tenant and as a gateway, against live jobs and jobs
+// only the journal still knows (retention evicted them), owner-less
+// ones included. One rule decides: a gateway, the owner, and everyone
+// for an owner-less job see it. Routes that address only the live table
+// answer unknown for journal-only jobs whoever asks. Invisible must read
+// exactly like unknown: the same status and body as an ID the daemon
+// never issued.
+func TestJobVisibilityRoutes(t *testing.T) {
+	reg := newTestRegistry(t,
+		Tenant{Name: "alice", Token: "tok-alice"},
+		Tenant{Name: "bob", Token: "tok-bob"},
+		Tenant{Name: "front", Token: "tok-front", Gateway: true},
+	)
+	cache, err := sweep.OpenCache(filepath.Join(t.TempDir(), "results.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 16, Cache: cache, Retention: 2, Tenants: reg})
+	d := &testDaemon{ts: httptest.NewServer(New(m)), m: m}
+	t.Cleanup(d.stop)
+
+	// Owner-less jobs come from the manager API with the zero caller:
+	// over HTTP every submission on a registry daemon has an owner.
+	submit := func(owner Tenant, seed uint64) string {
+		t.Helper()
+		sts, err := m.Submit(owner, []JobSpec{{Config: analysisCfg(seed)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, m, sts[0].ID, StateDone)
+		return sts[0].ID
+	}
+	alice := Tenant{Name: "alice"}
+	// Retention 2: the two later jobs push the first two out of the job
+	// table, leaving them to the journal.
+	jobs := []struct {
+		name   string
+		id     string
+		live   bool
+		seenBy string
+	}{
+		{"alice-journal", submit(alice, 601), false, "alice front"},
+		{"ownerless-journal", submit(Tenant{}, 602), false, "alice bob front"},
+		{"alice-live", submit(alice, 603), true, "alice front"},
+		{"ownerless-live", submit(Tenant{}, 604), true, "alice bob front"},
+	}
+	for _, j := range jobs {
+		if _, err := m.Job(operator, j.id); (err == nil) != j.live {
+			t.Fatalf("%s: in job table = %v, want %v", j.name, err == nil, j.live)
+		}
+	}
+
+	call := func(method, path, token string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, d.url(path), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Authorization", "Bearer "+token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		blob, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(blob)
+	}
+	// single answers "seen" for 200 and the full response otherwise;
+	// listed answers "seen" when the listing names id, else the body.
+	single := func(method, path string) func(token, id string) string {
+		return func(token, id string) string {
+			code, body := call(method, strings.ReplaceAll(path, "{id}", id), token)
+			if code == http.StatusOK {
+				return "seen"
+			}
+			return fmt.Sprintf("%d %s", code, strings.TrimSpace(body))
+		}
+	}
+	listed := func(path string) func(token, id string) string {
+		return func(token, id string) string {
+			code, body := call(http.MethodGet, strings.ReplaceAll(path, "{id}", id), token)
+			var resp SubmitResponse
+			if err := json.Unmarshal([]byte(body), &resp); code != http.StatusOK || err != nil {
+				t.Fatalf("GET %s: HTTP %d %q", path, code, body)
+			}
+			for _, st := range resp.Jobs {
+				if st.ID == id {
+					return "seen"
+				}
+			}
+			if strings.Contains(path, "{id}") {
+				return strings.TrimSpace(body)
+			}
+			return "absent"
+		}
+	}
+	routes := []struct {
+		name     string
+		liveOnly bool // addresses only the live job table
+		do       func(token, id string) string
+	}{
+		{"GET /v1/jobs/{id}", true, single(http.MethodGet, "/v1/jobs/{id}")},
+		{"GET /v1/jobs", true, listed("/v1/jobs")},
+		{"GET /v1/jobs?ids=", true, listed("/v1/jobs?ids={id}")},
+		{"DELETE /v1/jobs/{id}", true, single(http.MethodDelete, "/v1/jobs/{id}")},
+		{"GET /v1/jobs/{id}/events", true, single(http.MethodGet, "/v1/jobs/{id}/events")},
+		{"GET /v1/analysis/{id}", false, single(http.MethodGet, "/v1/analysis/{id}")},
+		{"GET /analysis/{id}", false, single(http.MethodGet, "/analysis/{id}")},
+		{"GET /v1/analysis/{id}/stream", false, single(http.MethodGet, "/v1/analysis/{id}/stream")},
+	}
+	for _, rt := range routes {
+		for _, who := range []string{"alice", "bob", "front"} {
+			unknown := rt.do("tok-"+who, "job-999999")
+			if unknown == "seen" {
+				t.Fatalf("%s as %s: an unknown ID reads as seen", rt.name, who)
+			}
+			for _, j := range jobs {
+				want := strings.Contains(j.seenBy, who) && (j.live || !rt.liveOnly)
+				got := rt.do("tok-"+who, j.id)
+				switch {
+				case want && got != "seen":
+					t.Errorf("%s as %s on %s: %s, want it seen", rt.name, who, j.name, got)
+				case !want && got != unknown:
+					t.Errorf("%s as %s on %s: %q, want exactly the unknown-ID answer %q", rt.name, who, j.name, got, unknown)
+				}
+			}
+		}
+	}
+}

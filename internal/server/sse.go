@@ -26,19 +26,19 @@ func (m *Manager) recordEventLocked(j *job, st JobStatus) jobEvent {
 	return ev
 }
 
-// Subscribe registers for a job's lifecycle events after sequence
-// afterSeq (0 replays everything). It returns the missed events, a
-// channel of subsequent ones, and an unsubscribe function. The channel
-// is closed after the terminal event (immediately when the job is
-// already terminal). Slow consumers never block the manager: events
+// Subscribe registers for the lifecycle events of a job caller may
+// see, after sequence afterSeq (0 replays everything). It returns the
+// missed events, a channel of subsequent ones, and an unsubscribe
+// function. The channel is closed after the terminal event
+// (immediately when the job is already terminal). Slow consumers never block the manager: events
 // beyond the channel buffer are dropped, and the SSE handler
 // resubscribes after close so the terminal state (and anything dropped
 // before it) is always delivered.
-func (m *Manager) Subscribe(id string, afterSeq uint64) ([]jobEvent, <-chan jobEvent, func(), error) {
+func (m *Manager) Subscribe(caller Tenant, id string, afterSeq uint64) ([]jobEvent, <-chan jobEvent, func(), error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
+	j := m.visibleLocked(caller, id)
+	if j == nil {
 		return nil, nil, nil, ErrUnknownJob
 	}
 	var replay []jobEvent
@@ -103,13 +103,9 @@ func writeSSEID(w io.Writer, id, event string, data []byte) error {
 // after the given sequence, replaying missed transitions from the
 // job's event history.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.manager.jobVisibleAs(caller(r), id) {
-		writeError(w, http.StatusNotFound, ErrUnknownJob)
-		return
-	}
+	id, t := r.PathValue("id"), caller(r)
 	last := lastEventID(r)
-	replay, ch, unsubscribe, err := s.manager.Subscribe(id, last)
+	replay, ch, unsubscribe, err := s.manager.Subscribe(t, id, last)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -153,7 +149,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 				// slow consumer dropped (including the terminal status
 				// itself) from the history, then signal completion.
 				if !lastState.Terminal() {
-					if missed, _, unsub, err := s.manager.Subscribe(id, last); err == nil {
+					if missed, _, unsub, err := s.manager.Subscribe(t, id, last); err == nil {
 						unsub()
 						for _, ev := range missed {
 							if !send(ev) {

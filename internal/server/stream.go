@@ -148,22 +148,21 @@ func terminalSub(rep *analysis.Report, afterSeq uint64) analysisSub {
 	return sub
 }
 
-// SubscribeAnalysis opens a subscription to job id's analysis stream,
-// resuming after batch afterSeq. Unknown IDs fall back to the durable
-// journal + result cache, so streams of evicted or pre-restart jobs
-// replay their final report. ErrUnknownJob / errNoAnalysis map to 404.
-func (m *Manager) SubscribeAnalysis(id string, afterSeq uint64) (analysisSub, error) {
+// SubscribeAnalysis opens a subscription to the analysis stream of a
+// job caller may see, resuming after batch afterSeq. IDs the job table
+// no longer holds fall back to the durable journal + result cache, so
+// streams of evicted or pre-restart jobs replay their final report.
+// ErrUnknownJob / errNoAnalysis map to 404.
+func (m *Manager) SubscribeAnalysis(caller Tenant, id string, afterSeq uint64) (analysisSub, error) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
+	j := m.visibleLocked(caller, id)
+	if j == nil {
 		m.mu.Unlock()
-		if rep, ok := m.analysisFromJournal(id); ok {
-			return terminalSub(rep, afterSeq), nil
+		rep, err := m.analysisFromJournal(caller, id)
+		if err != nil {
+			return analysisSub{}, err
 		}
-		if _, ok := m.journal.lookup(id); ok {
-			return analysisSub{}, errNoAnalysis
-		}
-		return analysisSub{}, ErrUnknownJob
+		return terminalSub(rep, afterSeq), nil
 	}
 	if j.flight != nil && j.flight.stream != nil {
 		b := j.flight.stream
@@ -185,36 +184,45 @@ func (m *Manager) SubscribeAnalysis(id string, afterSeq uint64) (analysisSub, er
 	return analysisSub{}, errNoAnalysis
 }
 
+// Analysis returns the perf-analyzer report of a done job caller may
+// see. IDs the job table no longer holds (restart, retention pruning)
+// resolve through the durable journal to the cached result. Every error
+// is a 404 at the handler layer: ErrUnknownJob for unknown and
+// invisible jobs alike, otherwise the reason a visible job has no
+// report.
+func (m *Manager) Analysis(caller Tenant, id string) (*analysis.Report, error) {
+	m.mu.Lock()
+	j := m.visibleLocked(caller, id)
+	if j == nil {
+		m.mu.Unlock()
+		return m.analysisFromJournal(caller, id)
+	}
+	defer m.mu.Unlock()
+	if !j.state.Terminal() {
+		return nil, fmt.Errorf("server: job %s is %s; analysis is available once it is done", id, j.state)
+	}
+	if j.result == nil || j.result.Analysis == nil {
+		return nil, fmt.Errorf("server: job %s carries no analysis report (submit with config.Analysis.Enabled)", id)
+	}
+	return j.result.Analysis, nil
+}
+
 // analysisFromJournal resolves a job ID the manager no longer retains
-// to its cached analysis report via the durable journal.
-func (m *Manager) analysisFromJournal(id string) (*analysis.Report, bool) {
+// to its cached analysis report via the durable journal, under the same
+// visibility rule as the live table.
+func (m *Manager) analysisFromJournal(caller Tenant, id string) (*analysis.Report, error) {
 	e, ok := m.journal.lookup(id)
-	if !ok || e.State != StateDone || e.Key == "" || m.cache == nil {
-		return nil, false
+	if !ok || !canSee(m.registry, caller, e.Tenant) {
+		return nil, ErrUnknownJob
+	}
+	if e.State != StateDone || e.Key == "" || m.cache == nil {
+		return nil, errNoAnalysis
 	}
 	res, ok := m.cache.Lookup(e.Key)
 	if !ok || res.Analysis == nil {
-		return nil, false
+		return nil, errNoAnalysis
 	}
-	return res.Analysis, true
-}
-
-// AnalysisByJobID returns the analysis report a job ID resolved to,
-// consulting the live job table first and the journal + cache for IDs
-// the table evicted (restart, retention pruning).
-func (m *Manager) AnalysisByJobID(id string) (*analysis.Report, bool) {
-	m.mu.Lock()
-	if j, ok := m.jobs[id]; ok {
-		if j.state == StateDone && j.result != nil && j.result.Analysis != nil {
-			rep := j.result.Analysis
-			m.mu.Unlock()
-			return rep, true
-		}
-		m.mu.Unlock()
-		return nil, false
-	}
-	m.mu.Unlock()
-	return m.analysisFromJournal(id)
+	return res.Analysis, nil
 }
 
 // lastEventID parses the SSE resume cursor: the standard Last-Event-ID
@@ -242,13 +250,9 @@ func lastEventID(r *http.Request) uint64 {
 // received batch to an analysis.StreamAccumulator reconstructs the
 // job's final report byte-identically.
 func (s *Server) handleAnalysisStream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.manager.jobVisibleAs(caller(r), id) {
-		writeError(w, http.StatusNotFound, ErrUnknownJob)
-		return
-	}
+	id, t := r.PathValue("id"), caller(r)
 	lastSeq := lastEventID(r)
-	sub, err := s.manager.SubscribeAnalysis(id, lastSeq)
+	sub, err := s.manager.SubscribeAnalysis(t, id, lastSeq)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
@@ -320,7 +324,7 @@ func (s *Server) handleAnalysisStream(w http.ResponseWriter, r *http.Request) {
 		// The channel closed: the flight finished, or we lagged. Either
 		// way resubscribing from the last delivered sequence yields the
 		// correct continuation (final replay + done, or a snapshot).
-		next, err := s.manager.SubscribeAnalysis(id, lastSeq)
+		next, err := s.manager.SubscribeAnalysis(t, id, lastSeq)
 		if err != nil {
 			_ = writeSSE(w, "done", []byte("{}"))
 			flusher.Flush()

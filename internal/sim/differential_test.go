@@ -52,8 +52,15 @@ func runEngine(t *testing.T, cfg Config, stepper bool) Result {
 // and the reference stepper disagree on any Result bit for cfg.
 func assertEngineEquivalence(t *testing.T, cfg Config) {
 	t.Helper()
-	event := canonical(t, runEngine(t, cfg, false))
-	step := canonical(t, runEngine(t, cfg, true))
+	assertSameResult(t, runEngine(t, cfg, false), runEngine(t, cfg, true))
+}
+
+// assertSameResult fails the test when the event-driven engine's and
+// the reference stepper's Results differ in any canonical bit.
+func assertSameResult(t *testing.T, eventRes, stepRes Result) {
+	t.Helper()
+	event := canonical(t, eventRes)
+	step := canonical(t, stepRes)
 	if event == step {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memctrl"
+	"repro/internal/workload"
 )
 
 // quickConfig returns a small configuration that runs in well under a
@@ -376,5 +377,67 @@ func TestOtherDRAMStandards(t *testing.T) {
 	bad.Standard = "rldram"
 	if _, err := New(bad); err == nil {
 		t.Error("unknown standard accepted")
+	}
+}
+
+// TestRowOutcomeAccounting checks that every served request carries
+// exactly one row-buffer outcome, up to the requests in flight at the
+// edges of the measured window. The bound is derived, not fitted:
+//
+//   - a request's outcome is counted at the first command issued on its
+//     behalf, and it is counted served (ReadsServed/WritesServed) at its
+//     column command, which also dequeues it. Both happen while the
+//     request sits in the controller's read or write queue; no request
+//     leaves a queue any other way.
+//   - a request whose two counts fall on the same side of the warm-up
+//     reset cancels out. Only two kinds differ: A, outcome before the
+//     reset and served after it (counted served only), and B, outcome
+//     in the window and still queued at run end (counted outcome only).
+//     So outcomes - served = B - A.
+//   - every A request was queued at the reset and every B request at
+//     run end, so 0 <= A, B <= readQueueCap + writeQueueCap on each
+//     channel. Reads awaiting data after their column command add
+//     nothing: both counts were taken at that command.
+//
+// Hence |outcomes - served| <= channels * (readQueueCap + writeQueueCap).
+func TestRowOutcomeAccounting(t *testing.T) {
+	mixes := workload.EightCoreMixes(3, 2)
+	cases := []struct {
+		name      string
+		workloads []string
+		mech      MechanismKind
+	}{
+		{"lbm-baseline", []string{"lbm"}, Baseline},
+		{"lbm-chargecache", []string{"lbm"}, ChargeCache},
+		{"mcf-baseline", []string{"mcf"}, Baseline},
+		{"STREAMcopy-chargecache", []string{"STREAMcopy"}, ChargeCache},
+		{"mix3-0-chargecache", mixes[0], ChargeCache},
+		{"mix3-1-baseline", mixes[1], Baseline},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.workloads...)
+			cfg.Mechanism = tc.mech
+			cfg.WarmupInstructions = 50_000
+			cfg.RunInstructions = 100_000
+			if len(tc.workloads) > 1 {
+				cfg.WarmupInstructions = 20_000
+				cfg.RunInstructions = 20_000
+			}
+			c := mustRun(t, cfg).Controller
+			outcomes := int64(c.RowHits + c.RowMisses + c.RowConflicts)
+			served := int64(c.ReadsServed + c.WritesServed)
+			if served == 0 {
+				t.Fatal("no request served in the measured window")
+			}
+			diff := outcomes - served
+			if diff < 0 {
+				diff = -diff
+			}
+			if bound := int64(cfg.Channels * (readQueueCap + writeQueueCap)); diff > bound {
+				t.Errorf("row outcomes %d vs requests served %d: residue %d exceeds the in-flight bound %d",
+					outcomes, served, diff, bound)
+			}
+		})
 	}
 }

@@ -116,6 +116,13 @@ func (s *System) ExecutedCycles() int64 { return s.execCycles }
 // cycle including warm-up, identical between engines.
 func (s *System) TotalCycles() int64 { return s.nowCPU }
 
+// Per-channel controller queue capacities (Table 1: 64-entry read and
+// write queues).
+const (
+	readQueueCap  = 64
+	writeQueueCap = 64
+)
+
 // New assembles a system from cfg.
 func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
@@ -185,8 +192,8 @@ func New(cfg Config) (*System, error) {
 		mcfg := memctrl.Config{
 			Spec:          spec,
 			Channel:       ch,
-			ReadQueueCap:  64,
-			WriteQueueCap: 64,
+			ReadQueueCap:  readQueueCap,
+			WriteQueueCap: writeQueueCap,
 			RowPolicy:     cfg.RowPolicy,
 			WriteHigh:     48,
 			WriteLow:      16,

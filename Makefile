@@ -54,7 +54,7 @@ test:
 
 .PHONY: race
 race:
-	$(GO) test -race ./internal/sweep ./internal/experiments ./internal/server ./internal/client ./internal/dispatch ./internal/analysis ./internal/trace
+	$(GO) test -race ./internal/sweep ./internal/durable ./internal/experiments ./internal/server ./internal/client ./internal/dispatch ./internal/analysis ./internal/trace
 	$(GO) test -race ./internal/sim -run 'TestDifferential'
 	$(GO) test -race ./internal/memctrl ./internal/dram
 	$(GO) test -race ./internal/cache ./internal/core ./internal/cpu ./internal/prof

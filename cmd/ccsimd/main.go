@@ -75,7 +75,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	peers := fs.String("peers", "", "comma-separated peer ccsimd URLs: this daemon fronts them, dispatching queued jobs to their worker pools")
 	peerToken := fs.String("peer-token", "", "bearer token sent to -peers daemons (defaults to $CCSIMD_PEER_TOKEN)")
 	tenants := fs.String("tenants", "", "tenant registry JSON file ({\"tenants\":[{\"name\":...,\"token\":...,\"weight\":...,...}]}); enables bearer-token auth, per-tenant quotas and fair-share scheduling")
-	hotResults := fs.Int("hot-results", 0, "hot in-memory LRU entries fronting the result cache (0 = 256)")
 	traceRoot := fs.String("trace-root", "", "advertise DIR as a trace directory shared with clients: trace-file configs under it are accepted")
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge a straggling flight onto another free worker after this long (0 = off; needs a second worker: local workers or another peer)")
 	poison := fs.Int("poison-threshold", 0, "quarantine a job after its execution kills this many workers (0 = default 3, negative = never)")
@@ -159,7 +158,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Retention:            *retain,
 		Remotes:              remotes,
 		Tenants:              registry,
-		HotResults:           *hotResults,
 		TraceRoot:            root,
 		HedgeAfter:           *hedgeAfter,
 		PoisonThreshold:      *poison,

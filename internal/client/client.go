@@ -392,7 +392,8 @@ func (c *Client) RunJob(ctx context.Context, spec server.JobSpec) (server.JobSta
 		}
 	}
 
-	st, err := c.waitOrRecover(ctx, sub)
+	st, err := c.Wait(ctx, sub.ID)
+	st, err = c.recoverEvicted(ctx, sub, st, err)
 	if err != nil {
 		if ctx.Err() != nil {
 			// Don't abandon the job on the shared daemon: cancel it so
@@ -417,13 +418,16 @@ func (c *Client) RunJob(ctx context.Context, spec server.JobSpec) (server.JobSta
 	}
 }
 
-// waitOrRecover waits for a terminal status, recovering a job evicted
-// from the daemon's bounded retention window through the
-// content-addressed cache (same trade-off as RunSweep's eviction
-// fallback: a success is bit-identical; an evicted failure surfaces as
-// a generic eviction error).
-func (c *Client) waitOrRecover(ctx context.Context, sub server.JobStatus) (server.JobStatus, error) {
-	st, err := c.Wait(ctx, sub.ID)
+// recoverEvicted passes through the outcome (st, err) of asking the
+// daemon about the submitted job sub, except when the daemon no longer
+// retains the job (404) and sub carries a content address: then the
+// job's result comes from the daemon's cache, so runs survive eviction
+// from its bounded retention window. The fallback trades fidelity for
+// liveness: a job that failed or was canceled and then evicted either
+// reports as a cached success (a bit-identical result exists, which is
+// what the caller wanted) or surfaces a generic eviction error in place
+// of the original failure reason, which eviction has discarded.
+func (c *Client) recoverEvicted(ctx context.Context, sub, st server.JobStatus, err error) (server.JobStatus, error) {
 	var apiErr *APIError
 	if err == nil || !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || sub.Key == "" {
 		return st, err
@@ -663,34 +667,17 @@ func (c *Client) RunSweep(ctx context.Context, jobs []sweep.Job, progress func(s
 
 // finishedStatus resolves one outstanding job against the latest
 // listing: still-live jobs return terminal=false; terminal ones are
-// detail-fetched for the result. A job evicted from the daemon's
-// bounded retention window falls back to the content-addressed cache
-// (its key came with the submit response), so long sweeps survive
-// eviction races. The fallback trades fidelity for liveness: a job
-// that failed or was canceled and then evicted either reports as a
-// cached success (a bit-identical result exists, which is what the
-// sweep wanted) or surfaces a generic eviction error in place of the
-// original failure reason, which eviction has discarded.
+// detail-fetched for the result, falling back to the cache for jobs
+// evicted meanwhile (recoverEvicted; the key came with the submit
+// response), so long sweeps survive eviction races.
 func (c *Client) finishedStatus(ctx context.Context, sub server.JobStatus, byID map[string]server.JobStatus) (server.JobStatus, bool, error) {
 	if listed, ok := byID[sub.ID]; ok && !listed.State.Terminal() {
 		return server.JobStatus{}, false, nil
 	}
 	st, err := c.Job(ctx, sub.ID)
-	var apiErr *APIError
-	if err == nil {
-		return st, true, nil
-	}
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || sub.Key == "" {
+	if st, err = c.recoverEvicted(ctx, sub, st, err); err != nil {
 		return server.JobStatus{}, false, err
 	}
-	res, rerr := c.Result(ctx, sub.Key)
-	if rerr != nil {
-		return server.JobStatus{}, false, fmt.Errorf("client: job %s evicted and its result is not cached: %w", sub.ID, err)
-	}
-	st = sub
-	st.State = server.StateDone
-	st.Cached = true
-	st.Result = &res
 	return st, true, nil
 }
 

@@ -22,7 +22,7 @@ import (
 //     internal/client method (each one rides an *http.Client);
 //   - any function in the analyzed package that transitively reaches
 //     one of the above (intra-package propagation, so a helper like
-//     jobJournal.writeLocked taints its callers).
+//     durable's publish taints its callers).
 //
 // The walk is flow-approximate: statements are visited in source
 // order, an Unlock anywhere clears the held state for what follows,

@@ -26,8 +26,8 @@ func TestSelfCheck(t *testing.T) {
 	for _, d := range sum.Diagnostics {
 		t.Errorf("finding on own tree: %s", d.String())
 	}
-	// The tree carries deliberate, annotated exceptions (the sweep
-	// cache's dedicated write mutex, the job journal's flush) — the
+	// The tree carries deliberate, annotated exceptions (the durable
+	// snapshot writer's publish mutex, the client's health probe) — the
 	// suppression path must be exercised by the real tree, not only by
 	// fixtures.
 	if len(sum.Suppressed) == 0 {

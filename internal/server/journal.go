@@ -6,6 +6,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // jobJournal is the durable job index the manager keeps beside the
@@ -18,31 +20,22 @@ import (
 // IDs never collide with journaled ones.
 //
 // All methods are safe on a nil receiver (a manager without a cache has
-// no journal) and the file is written atomically (tmp + rename), so a
+// no journal) and the file is written atomically (durable.File), so a
 // crash mid-write leaves the previous generation intact.
 type jobJournal struct {
 	mu    sync.Mutex
-	path  string
 	limit int // entries retained, oldest dropped first (<=0: unbounded)
 	byID  map[string]journalEntry
 	order []string // IDs oldest-first
+	seq   uint64   // bumped per record; orders snapshots
 
-	// Degraded-mode state: after a disk write fails the journal flips to
-	// memory-only — record keeps upserting the in-memory index (so ID
-	// resolution and numbering stay correct for the life of the process)
-	// and the disk is retried once per probeEvery window. The file is a
-	// complete snapshot, so the first probe that lands restores every
-	// entry accumulated while degraded.
-	degraded   bool
-	writeErrs  uint64
-	restores   uint64
-	lastProbe  time.Time
-	probeEvery time.Duration // 0 = defaultStorageProbe
+	// file publishes snapshots outside mu and runs the degraded
+	// memory-only mode: after a disk write fails record keeps upserting
+	// the in-memory index (so ID resolution and numbering stay correct
+	// for the life of the process) and the disk is re-probed once per
+	// probe window.
+	file *durable.File
 }
-
-// defaultStorageProbe spaces restore probes while a journal or cache is
-// degraded.
-const defaultStorageProbe = time.Second
 
 // journalEntry records one terminal job.
 type journalEntry struct {
@@ -66,7 +59,7 @@ type journalFile struct {
 // path+".corrupt" — the bytes survive for inspection and the daemon
 // keeps running — rather than aborting startup or being overwritten.
 func openJournal(path string, limit int) *jobJournal {
-	l := &jobJournal{path: path, limit: limit, byID: map[string]journalEntry{}}
+	l := &jobJournal{limit: limit, byID: map[string]journalEntry{}, file: durable.New(path)}
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		return l
@@ -90,13 +83,15 @@ func openJournal(path string, limit int) *jobJournal {
 
 // record upserts the entries and persists the journal. Entries beyond
 // the retention limit are dropped oldest-first, mirroring the
-// manager's job-table pruning.
+// manager's job-table pruning. The snapshot is taken under l.mu and
+// written outside it, so a slow disk never stalls lookups; write
+// errors never fail the caller — a daemon on a full or read-only disk
+// keeps serving with the journal memory-only (/readyz warns).
 func (l *jobJournal) record(entries ...journalEntry) {
 	if l == nil || len(entries) == 0 {
 		return
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	for _, e := range entries {
 		if e.ID == "" {
 			continue
@@ -112,82 +107,11 @@ func (l *jobJournal) record(entries ...journalEntry) {
 		}
 		l.order = append([]string(nil), l.order[drop:]...)
 	}
-	//lint:allow lockio l.mu is the journal's own serialization mutex, never held by request paths; the manager journals outside Manager.mu precisely so a slow disk stalls only the journal (see PR 7)
-	l.writeLocked()
-}
-
-// writeLocked persists the current entries atomically. Write errors
-// never fail the caller: the journal is an availability optimization,
-// and a daemon on a full or read-only disk should keep serving rather
-// than crash — it degrades to memory-only (health reports it, /readyz
-// warns) and probes the disk once per probe window until a write lands.
-func (l *jobJournal) writeLocked() {
-	now := time.Now()
-	if l.degraded && now.Sub(l.lastProbe) < l.probeInterval() {
-		return // memory-only: skip the disk until the next probe window
-	}
-	f := journalFile{Version: 1, Jobs: make([]journalEntry, 0, len(l.order))}
-	for _, id := range l.order {
-		f.Jobs = append(f.Jobs, l.byID[id])
-	}
-	blob, err := json.Marshal(f)
-	if err != nil {
-		return
-	}
-	tmp := l.path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		l.noteWriteErrorLocked(now)
-		return
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		l.noteWriteErrorLocked(now)
-		return
-	}
-	if l.degraded {
-		l.degraded = false
-		l.restores++
-	}
-}
-
-// noteWriteErrorLocked records a failed disk write and (re)enters
-// degraded memory-only mode. Caller holds l.mu.
-func (l *jobJournal) noteWriteErrorLocked(now time.Time) {
-	l.writeErrs++
-	l.degraded = true
-	l.lastProbe = now
-}
-
-// probeInterval returns the configured restore-probe spacing.
-func (l *jobJournal) probeInterval() time.Duration {
-	if l.probeEvery > 0 {
-		return l.probeEvery
-	}
-	return defaultStorageProbe
-}
-
-// setStorageProbeInterval overrides how often a degraded journal probes
-// the disk for recovery (default one second).
-func (l *jobJournal) setStorageProbeInterval(d time.Duration) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	l.probeEvery = d
-}
-
-// health reports the journal's degraded-mode state. Nil-safe: a
-// journal-less manager reports healthy.
-func (l *jobJournal) health() (degraded bool, writeErrs, restores uint64) {
-	if l == nil {
-		return false, 0, 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.degraded, l.writeErrs, l.restores
+	l.seq++
+	seq := l.seq
+	f := journalFile{Version: 1, Jobs: l.entriesLocked()}
+	l.mu.Unlock()
+	_ = l.file.Write(seq, func() ([]byte, error) { return json.Marshal(f) })
 }
 
 // lookup returns the journaled entry for a job ID.
@@ -208,6 +132,11 @@ func (l *jobJournal) entries() []journalEntry {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.entriesLocked()
+}
+
+// entriesLocked copies the entries oldest first. Caller holds l.mu.
+func (l *jobJournal) entriesLocked() []journalEntry {
 	out := make([]journalEntry, 0, len(l.order))
 	for _, id := range l.order {
 		out = append(out, l.byID[id])

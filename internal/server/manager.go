@@ -14,9 +14,8 @@
 //     run exactly one simulation, and every subscriber receives that
 //     one result,
 //   - content-addressed persistence: completed results land in the
-//     sweep.Cache (fronted by a hot in-memory LRU, see store.go), so a
-//     restarted daemon serves previously computed configs instantly
-//     and GET /v1/results/{key} works across runs,
+//     sweep.Cache, so a restarted daemon serves previously computed
+//     configs instantly and GET /v1/results/{key} works across runs,
 //   - multi-tenant fairness: with a tenant Registry configured,
 //     staging is weighted fair-share across tenants (schedq.go) with
 //     per-tenant queue/concurrency quotas; without one the manager
@@ -222,10 +221,6 @@ type ManagerConfig struct {
 	// anonymous and scheduling degenerates to the original single FIFO.
 	Tenants *Registry
 
-	// HotResults sizes the hot in-memory LRU fronting the persistent
-	// cache (<= 0 means 256). Ignored without a Cache.
-	HotResults int
-
 	// TraceRoot, when non-empty, is advertised on /healthz as a shared
 	// trace directory: clients may submit trace-file configs whose
 	// absolute paths live under it, because this daemon sees the same
@@ -257,9 +252,6 @@ type ManagerConfig struct {
 // feeding the sweep engine.
 type Manager struct {
 	cache *sweep.Cache
-	// store fronts the cache with a hot LRU (nil without a cache); all
-	// manager-side result lookups go through it.
-	store *resultStore
 	// registry is the tenant table (nil = open mode).
 	registry *Registry
 	// journal durably maps job IDs to cache keys (<cache path>.jobs) so
@@ -356,7 +348,6 @@ func NewManager(cfg ManagerConfig) *Manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cache:       cfg.Cache,
-		store:       newResultStore(cfg.Cache, cfg.HotResults),
 		registry:    cfg.Tenants,
 		retention:   retention,
 		workers:     workers,
@@ -372,16 +363,14 @@ func NewManager(cfg ManagerConfig) *Manager {
 	}
 	m.qcond = sync.NewCond(&m.mu)
 	if cfg.Cache != nil {
-		if cfg.StorageProbeInterval > 0 {
-			cfg.Cache.SetStorageProbeInterval(cfg.StorageProbeInterval)
-		}
 		// The journal keeps a wider window than the job table: an entry is
 		// a one-line ID->key mapping, so retaining 8x the in-memory
 		// retention is cheap, and it is exactly the evicted jobs — the ones
 		// no longer in the table — whose IDs the journal must still resolve.
 		m.journal = openJournal(cfg.Cache.Path()+".jobs", 8*retention)
 		if cfg.StorageProbeInterval > 0 {
-			m.journal.setStorageProbeInterval(cfg.StorageProbeInterval)
+			cfg.Cache.SetStorageProbeInterval(cfg.StorageProbeInterval)
+			m.journal.file.SetProbeInterval(cfg.StorageProbeInterval)
 		}
 		if max := m.journal.maxID(); max > m.nextID {
 			m.nextID = max
@@ -435,12 +424,6 @@ func (m *Manager) Cache() *sweep.Cache { return m.cache }
 // Registry returns the tenant registry (nil in open mode).
 func (m *Manager) Registry() *Registry { return m.registry }
 
-// LookupResult resolves a content-address key through the tiered
-// result store (hot LRU, then the persistent cache).
-func (m *Manager) LookupResult(key string) (sim.Result, bool) {
-	return m.store.Lookup(key)
-}
-
 // Workers returns the local simulation concurrency, advertised on
 // /healthz so fleet dispatchers can weight assignment by capacity.
 func (m *Manager) Workers() int { return m.workers }
@@ -455,20 +438,19 @@ func (m *Manager) TraceRoot() string { return m.traceRoot }
 // daemon keeps serving — results and job state stay correct in memory
 // and the disk is re-probed automatically.
 func (m *Manager) StorageDegraded() bool {
-	if m.cache != nil {
-		if degraded, _, _ := m.cache.StorageHealth(); degraded {
-			return true
-		}
+	if m.cache == nil {
+		return false
 	}
-	degraded, _, _ := m.journal.health()
-	return degraded
+	cacheDegraded, _, _ := m.cache.StorageHealth()
+	journalDegraded, _, _ := m.journal.file.Health()
+	return cacheDegraded || journalDegraded
 }
 
 // Submit validates and enqueues a batch of jobs atomically on behalf
 // of caller (the zero Tenant in open mode): either every spec is
 // accepted (each getting a job ID) or none is. Identical configs —
 // within the batch or against jobs already queued/running, across
-// tenants — share one simulation; configs already in the result store
+// tenants — share one simulation; configs already in the result cache
 // complete immediately without queueing. Batches that would push the
 // owning tenant past MaxQueued fail with a QuotaError; batches
 // overflowing the shared queue either preempt queued lower-priority
@@ -540,9 +522,11 @@ func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 		key := keys[i]
 		plans[i].key = key
 		if key != "" {
-			if res, ok := m.store.Lookup(key); ok {
-				plans[i].cached = &res
-				continue
+			if m.cache != nil {
+				if res, ok := m.cache.Lookup(key); ok {
+					plans[i].cached = &res
+					continue
+				}
 			}
 			if f, ok := m.flights[key]; ok {
 				plans[i].flight = f
@@ -808,13 +792,8 @@ func (m *Manager) Cancel(caller Tenant, id string) (JobStatus, error) {
 	return st, nil
 }
 
-// cancelJobLocked finalizes one job as canceled and, when it was the
-// last live subscriber of a still-queued flight, drops the flight from
-// the dedup index (so later identical submissions start fresh instead
-// of attaching to a doomed flight) and cancels its context so the
-// simulation never starts. A running flight is left alone: a single
-// simulation cannot be interrupted, and poisoning its context would
-// fail jobs that attach between now and its completion.
+// cancelJobLocked finalizes one job as canceled, dropping its flight
+// when it was the last live subscriber of a still-queued one.
 func (m *Manager) cancelJobLocked(j *job, reason string) {
 	j.state = StateCanceled
 	j.err = errors.New(reason)
@@ -824,23 +803,29 @@ func (m *Manager) cancelJobLocked(j *job, reason string) {
 		m.tenantCountersLocked(j.tenant).canceled++
 	}
 	m.notifyLocked(j)
-	if f := j.flight; f != nil && f.state == StateQueued {
-		live := false
-		for _, other := range f.jobs {
-			if !other.state.Terminal() {
-				live = true
-				break
-			}
-		}
-		if !live {
-			f.state = StateCanceled
-			m.dropFlightLocked(f)
-			// Drop the dead flight from its subqueue so the slot frees
-			// immediately instead of tombstoning the bounded queue until
-			// a worker skips it.
-			m.sched.remove(f)
+	m.dropAbandonedLocked(j.flight)
+}
+
+// dropAbandonedLocked drops a still-queued flight none of whose jobs is
+// live: it leaves the dedup index (so later identical submissions start
+// fresh instead of attaching to a doomed flight), its context is
+// canceled so the simulation never starts, and its subqueue slot frees
+// immediately instead of tombstoning the bounded queue until a worker
+// skips it. A running flight is left alone: a single simulation cannot
+// be interrupted, and poisoning its context would fail jobs that attach
+// between now and its completion. Caller holds m.mu.
+func (m *Manager) dropAbandonedLocked(f *flight) {
+	if f == nil || f.state != StateQueued {
+		return
+	}
+	for _, j := range f.jobs {
+		if !j.state.Terminal() {
+			return
 		}
 	}
+	f.state = StateCanceled
+	m.dropFlightLocked(f)
+	m.sched.remove(f)
 }
 
 // DeadlineError rejects a submission at admission because its deadline
@@ -902,21 +887,9 @@ func (m *Manager) expireQueued(now time.Time) {
 		if j.state != StateQueued || j.deadline.IsZero() || now.Before(j.deadline) {
 			continue
 		}
-		recs = append(recs, m.failJobLocked(j, fmt.Errorf("%w: expired after %v queued", ErrDeadlineExceeded, now.Sub(j.submittedAt).Round(time.Millisecond)), ReasonDeadline))
-		if f := j.flight; f != nil && f.state == StateQueued {
-			live := false
-			for _, other := range f.jobs {
-				if !other.state.Terminal() {
-					live = true
-					break
-				}
-			}
-			if !live {
-				f.state = StateCanceled
-				m.dropFlightLocked(f)
-				m.sched.remove(f)
-			}
-		}
+		recs = append(recs, m.failJobLocked(j, fmt.Errorf("%w: expired after %v queued", ErrDeadlineExceeded, now.Sub(j.submittedAt).Round(time.Millisecond)), ReasonDeadline, "", 0))
+		m.counters.deadlineExpired++
+		m.dropAbandonedLocked(j.flight)
 	}
 	if len(recs) > 0 {
 		m.pruneLocked()
@@ -926,24 +899,23 @@ func (m *Manager) expireQueued(now time.Time) {
 }
 
 // failJobLocked finalizes one job as failed with a machine-readable
-// reason and returns its journal entry. The caller owns any flight
-// cleanup. Caller holds m.mu.
-func (m *Manager) failJobLocked(j *job, err error, reason string) journalEntry {
+// reason and returns its journal entry; worker and elapsed name the
+// slot and run time of an executed flight ("" and 0 for a job failed
+// queue-side). The caller owns any flight cleanup. Caller holds m.mu.
+func (m *Manager) failJobLocked(j *job, err error, reason, worker string, elapsed time.Duration) journalEntry {
 	j.state = StateFailed
 	j.err = err
 	j.reason = reason
 	j.finishedAt = time.Now()
+	j.elapsed = elapsed
 	m.counters.failed++
-	if reason == ReasonDeadline {
-		m.counters.deadlineExpired++
-	}
 	if j.tenant != "" {
 		m.tenantCountersLocked(j.tenant).failed++
 	}
 	m.notifyLocked(j)
 	return journalEntry{
 		ID: j.id, Key: j.key, Label: j.label, Tenant: j.tenant,
-		State: StateFailed, FinishedAt: j.finishedAt,
+		State: StateFailed, Worker: worker, FinishedAt: j.finishedAt,
 	}
 }
 
@@ -1012,7 +984,8 @@ func (m *Manager) startFlight(f *flight) bool {
 	now := time.Now()
 	for _, j := range f.jobs {
 		if !j.state.Terminal() && !j.deadline.IsZero() && now.After(j.deadline) {
-			recs = append(recs, m.failJobLocked(j, fmt.Errorf("%w: expired before the simulation could start", ErrDeadlineExceeded), ReasonDeadline))
+			recs = append(recs, m.failJobLocked(j, fmt.Errorf("%w: expired before the simulation could start", ErrDeadlineExceeded), ReasonDeadline, "", 0))
+			m.counters.deadlineExpired++
 		}
 	}
 	live := 0
@@ -1055,7 +1028,7 @@ func (m *Manager) startFlight(f *flight) bool {
 // The fallback is this daemon's: a flight no fleet worker can take (all
 // dead, ineligible, or behind an open breaker) runs on this goroutine,
 // so queued flights are never orphaned. Every fresh result lands in the
-// result store under the key computed at submission — never
+// result cache under the key computed at submission — never
 // re-digested, so a trace rewritten mid-flight cannot fail a successful
 // run.
 func (m *Manager) execFlight(f *flight) {
@@ -1078,8 +1051,8 @@ func (m *Manager) execFlight(f *flight) {
 		worker = "quarantine"
 	case err == nil:
 		res = *out.Status.Result
-		if f.key != "" {
-			err = m.store.Put(f.key, res)
+		if f.key != "" && m.cache != nil {
+			err = m.cache.PutKeyed(f.key, res)
 		}
 	}
 	m.finishFlight(f, worker, res, out.Elapsed, out.Status.Cached, remote, err)
@@ -1143,23 +1116,9 @@ func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed
 		}
 		reason := failureReason(err)
 		for _, j := range f.jobs {
-			if j.state.Terminal() {
-				continue
+			if !j.state.Terminal() {
+				recs = append(recs, m.failJobLocked(j, err, reason, worker, elapsed))
 			}
-			j.state = StateFailed
-			j.err = err
-			j.reason = reason
-			j.finishedAt = time.Now()
-			j.elapsed = elapsed
-			m.counters.failed++
-			if j.tenant != "" {
-				m.tenantCountersLocked(j.tenant).failed++
-			}
-			m.notifyLocked(j)
-			recs = append(recs, journalEntry{
-				ID: j.id, Key: j.key, Label: j.label, Tenant: j.tenant,
-				State: StateFailed, Worker: worker, FinishedAt: j.finishedAt,
-			})
 		}
 	default:
 		switch {

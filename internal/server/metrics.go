@@ -144,10 +144,6 @@ type Metrics struct {
 	// open mode with no attributed submissions.
 	Tenants []TenantMetrics `json:"tenants,omitempty"`
 
-	// ResultStore reports the tiered result store's hot-tier traffic;
-	// absent on cacheless daemons.
-	ResultStore *StoreMetrics `json:"result_store,omitempty"`
-
 	// Resilience block. HedgesLaunched/HedgesWon count straggler flights
 	// raced against a second attempt on another fleet worker; hedges
 	// never double-count simulations because only the winning attempt
@@ -347,11 +343,10 @@ func (m *Manager) Metrics() Metrics {
 			s.Tenants = append(s.Tenants, tm)
 		}
 	}
-	s.ResultStore = m.store.metrics()
 	if m.cache != nil {
 		sm := &StorageMetrics{}
 		sm.CacheDegraded, sm.CacheWriteErrors, sm.CacheRestores = m.cache.StorageHealth()
-		sm.JournalDegraded, sm.JournalWriteErrors, sm.JournalRestores = m.journal.health()
+		sm.JournalDegraded, sm.JournalWriteErrors, sm.JournalRestores = m.journal.file.Health()
 		s.Storage = sm
 		s.StorageDegraded = sm.CacheDegraded || sm.JournalDegraded
 	}

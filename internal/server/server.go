@@ -246,9 +246,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("server: no persistent result cache configured"))
 		return
 	}
-	// Content-address lookups go through the tiered store: repeated
-	// fetches of a campaign's working set are served from the hot LRU.
-	res, ok := s.manager.LookupResult(r.PathValue("key"))
+	res, ok := s.manager.Cache().Lookup(r.PathValue("key"))
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("server: no result for key %s", r.PathValue("key")))
 		return

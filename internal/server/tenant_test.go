@@ -2,14 +2,10 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
-	"repro/internal/sweep"
 )
 
 func TestRegistryLoadFileAndEnv(t *testing.T) {
@@ -148,70 +144,5 @@ func TestTenantDefaults(t *testing.T) {
 	}
 	if (Tenant{RatePerSec: 8, Burst: 3}).burst() != 3 {
 		t.Fatalf("explicit burst = %v, want 3", (Tenant{RatePerSec: 8, Burst: 3}).burst())
-	}
-}
-
-func TestResultStoreLRU(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := sweep.OpenCache(filepath.Join(dir, "results.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := newResultStore(cache, 2)
-
-	res := func(i int) sim.Result {
-		var r sim.Result
-		r.CPUCycles = uint64(i + 1)
-		return r
-	}
-	for i := 0; i < 3; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), res(i)); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	m := s.metrics()
-	if m.HotEntries != 2 || m.Evictions != 1 {
-		t.Fatalf("after 3 puts into capacity 2: %+v", m)
-	}
-
-	// k0 was evicted from the hot tier but persists in the cache: a
-	// lookup is a cold hit that re-promotes it (evicting k1, the LRU).
-	if r, ok := s.Lookup("k0"); !ok || r.CPUCycles != 1 {
-		t.Fatalf("k0 lookup = %+v, %v", r, ok)
-	}
-	m = s.metrics()
-	if m.ColdHits != 1 || m.Evictions != 2 {
-		t.Fatalf("cold hit accounting: %+v", m)
-	}
-	if r, ok := s.Lookup("k0"); !ok || r.CPUCycles != 1 {
-		t.Fatalf("promoted k0 = %+v, %v", r, ok)
-	}
-	if m = s.metrics(); m.HotHits != 1 {
-		t.Fatalf("hot hit accounting: %+v", m)
-	}
-	if _, ok := s.Lookup("missing"); ok {
-		t.Fatal("phantom result")
-	}
-	if m = s.metrics(); m.Misses != 1 {
-		t.Fatalf("miss accounting: %+v", m)
-	}
-
-	// Every write landed in the persistent tier, not just the LRU.
-	for i := 0; i < 3; i++ {
-		if _, ok := cache.Lookup(fmt.Sprintf("k%d", i)); !ok {
-			t.Fatalf("k%d missing from the persistent cache", i)
-		}
-	}
-
-	// Nil store (cacheless manager): every operation is a no-op miss.
-	var nilStore *resultStore
-	if _, ok := nilStore.Lookup("k"); ok {
-		t.Fatal("nil store hit")
-	}
-	if err := nilStore.Put("k", sim.Result{}); err != nil {
-		t.Fatal(err)
-	}
-	if nilStore.metrics() != nil {
-		t.Fatal("nil store has metrics")
 	}
 }

@@ -183,9 +183,6 @@ func (s *System) Run() (Result, error) {
 	return res, nil
 }
 
-// nowCPU is the master clock in CPU cycles.
-// (field lives on System; declared in system.go)
-
 // cycleCap derives a safety cap for an instruction budget: even a fully
 // memory-bound core makes progress within ~500 cycles per instruction.
 func (s *System) cycleCap(instr uint64) int64 {
@@ -326,6 +323,10 @@ func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) 
 // one controller — every single-core configuration, including the whole
 // benchmark campaign. Identical cycle-for-cycle behaviour; it only
 // strips the multi-component loops and scratch slices off the hot path.
+// The fork stays because it pays: folding it into runUntilEvents and
+// skipAhead ran the perfbench fig7-single workload (seed 1, 8 s runs,
+// 8 interleaved pairs on a 2-vCPU host) at 24.8 configs/s against 27.1
+// with the fork, which won all 8 pairs.
 func (s *System) runUntilEventsSingle(target uint64, capCycles int64) ([]int64, bool) {
 	core := s.cores[0]
 	ctrl := s.ctrls[0]

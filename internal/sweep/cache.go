@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/sim"
 )
 
@@ -97,28 +98,14 @@ type Cache struct {
 	entries map[string]sim.Result
 	seq     uint64 // bumped per mutation; orders snapshots
 
-	// writeMu covers disk I/O only, so workers flushing the store do
-	// not block Get/Put on the entry map.
-	writeMu sync.Mutex
-	written uint64 // seq of the newest snapshot on disk
-
-	// Degraded-mode state, guarded by writeMu: after a disk write fails
-	// (disk full, read-only filesystem) the cache flips to memory-only —
-	// entries stay servable, Put stops returning errors, and disk writes
-	// are suppressed except for one probe per probeEvery window. A probe
-	// that lands restores normal write-through (the snapshot is always
-	// complete, so nothing accumulated while degraded is lost).
-	degraded   bool
-	writeErrs  uint64
-	restores   uint64
-	lastProbe  time.Time
-	probeEvery time.Duration // 0 = defaultStorageProbe
+	// file publishes snapshots outside mu and runs the degraded
+	// memory-only mode: after a disk write fails (disk full, read-only
+	// filesystem) entries stay servable, Put stops returning errors, and
+	// the disk is re-probed once per probe window.
+	file *durable.File
 
 	recovery string // warning from OpenCache quarantining a bad snapshot
 }
-
-// defaultStorageProbe spaces restore probes while degraded.
-const defaultStorageProbe = time.Second
 
 // OpenCache loads the results file at path, starting empty when the
 // file does not exist yet.
@@ -131,7 +118,7 @@ const defaultStorageProbe = time.Second
 // someone deletes the file by hand. RecoveryNote reports when that
 // happened so callers can warn the user.
 func OpenCache(path string) (*Cache, error) {
-	c := &Cache{path: path, entries: map[string]sim.Result{}}
+	c := &Cache{path: path, entries: map[string]sim.Result{}, file: durable.New(path)}
 	blob, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return c, nil
@@ -238,89 +225,28 @@ func (c *Cache) PutKeyed(key string, res sim.Result) error {
 		snapshot[k] = v
 	}
 	c.mu.Unlock()
-	return c.write(seq, snapshot)
-}
-
-// write lands one snapshot atomically (temp file + rename), so a crash
-// mid-write never corrupts the previous on-disk state. Encoding and
-// I/O run outside the entry-map mutex, so flushing never blocks
-// Get/Put; concurrent completions coalesce — a snapshot older than
-// what already reached disk is dropped instead of queueing workers.
-//
-// Disk failures never propagate: the cache is an availability
-// optimization, and a full or read-only disk must not fail the
-// simulation whose result is being stored. Instead the cache degrades
-// to memory-only (StorageHealth reports it) and retries the disk once
-// per probe window — each snapshot is complete, so the first probe
-// that lands restores everything accumulated while degraded.
-func (c *Cache) write(seq uint64, snapshot map[string]sim.Result) error {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if seq <= c.written {
-		return nil
-	}
-	now := time.Now()
-	if c.degraded && now.Sub(c.lastProbe) < c.probeInterval() {
-		return nil // memory-only: skip the disk until the next probe window
-	}
-	blob, err := json.Marshal(cacheFile{Version: cacheVersion, Entries: snapshot})
-	if err != nil {
-		// An unencodable result is a programming error, not a disk state;
-		// surface it instead of masking it as degradation.
-		return fmt.Errorf("sweep: encoding cache: %w", err)
-	}
-	tmp := c.path + ".tmp"
-	//lint:allow lockio writeMu is a dedicated I/O-serialization mutex ordering snapshot writes; the entry map uses a separate lock, so Get/Put never wait on disk
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		c.noteWriteErrorLocked(now)
-		return nil
-	}
-	//lint:allow lockio writeMu is a dedicated I/O-serialization mutex ordering snapshot writes; rename completes the atomic temp-file publish started above
-	if err := os.Rename(tmp, c.path); err != nil {
-		c.noteWriteErrorLocked(now)
-		return nil
-	}
-	if c.degraded {
-		c.degraded = false
-		c.restores++
-	}
-	c.written = seq
-	return nil
-}
-
-// noteWriteErrorLocked records a failed disk write and (re)enters
-// degraded memory-only mode. Caller holds writeMu.
-func (c *Cache) noteWriteErrorLocked(now time.Time) {
-	c.writeErrs++
-	c.degraded = true
-	c.lastProbe = now
-}
-
-// probeInterval returns the configured restore-probe spacing.
-func (c *Cache) probeInterval() time.Duration {
-	if c.probeEvery > 0 {
-		return c.probeEvery
-	}
-	return defaultStorageProbe
+	// Encoding and I/O run outside mu, so flushing never blocks Get/Put;
+	// concurrent completions coalesce — a snapshot older than what
+	// already reached disk is dropped instead of queueing workers. Disk
+	// failures never propagate: a full or read-only disk must not fail
+	// the simulation whose result is being stored.
+	return c.file.Write(seq, func() ([]byte, error) {
+		blob, err := json.Marshal(cacheFile{Version: cacheVersion, Entries: snapshot})
+		if err != nil {
+			return nil, fmt.Errorf("sweep: encoding cache: %w", err)
+		}
+		return blob, nil
+	})
 }
 
 // SetStorageProbeInterval overrides how often a degraded cache probes
 // the disk for recovery (default one second). Zero or negative restores
 // the default.
-func (c *Cache) SetStorageProbeInterval(d time.Duration) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	c.probeEvery = d
-}
+func (c *Cache) SetStorageProbeInterval(d time.Duration) { c.file.SetProbeInterval(d) }
 
 // StorageHealth reports the degraded-mode state: whether the cache is
 // currently memory-only, how many disk writes have failed, and how many
 // times a probe restored write-through.
 func (c *Cache) StorageHealth() (degraded bool, writeErrs, restores uint64) {
-	c.writeMu.Lock()
-	defer c.writeMu.Unlock()
-	return c.degraded, c.writeErrs, c.restores
+	return c.file.Health()
 }

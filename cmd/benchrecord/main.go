@@ -1,8 +1,9 @@
 // Command benchrecord measures the simulation core's two execution
 // engines on the Quick-scale Figure 7a campaign (22 single-core
-// workloads × 5 mechanisms) and writes the numbers to a JSON file
-// (default BENCH_simcore.json), so every PR that touches the hot path
-// leaves a comparable data point behind.
+// workloads × 5 mechanisms) and on one Quick-scale Figure 7b mix (eight
+// cores × 5 mechanisms), and writes the numbers to a JSON file
+// (default BENCH_simcore.json), so every change that touches the hot
+// path leaves a comparable data point behind.
 //
 // Each config is run under both engines back to back (stepper, then
 // event), so per-workload speedups compare measurements taken moments
@@ -20,13 +21,17 @@
 // The run doubles as a regression gate:
 //
 //   - -min-speedup R (default 1.0) fails the run if any workload's
-//     event-vs-stepper speedup drops below R — an event engine slower
-//     than the reference stepper on any workload is a perf bug, not a
-//     data point. Set R <= 0 to disable.
+//     event-vs-stepper speedup, or the eight-core mix's, drops below
+//     R — an event engine slower than the reference stepper on any
+//     workload is a perf bug, not a data point. Set R <= 0 to disable.
 //
 //   - -compare FILE diffs the fresh numbers against a committed
 //     BENCH_simcore.json and fails on a >10% (-max-regress) drop in
-//     either engine's aggregate configs_per_sec.
+//     either engine's aggregate configs_per_sec. For the eight-core
+//     mix it fails on a >10% rise in the event engine's executed-cycle
+//     fraction, which is deterministic and so holds on any host. The
+//     mix's wall-clock speedup is held only to -min-speedup: it moved
+//     by 15% between two back-to-back runs on one host.
 //
 //     benchrecord                  # full campaign, writes BENCH_simcore.json
 //     benchrecord -quick           # 6-workload subset (CI smoke)
@@ -70,6 +75,17 @@ type workloadRow struct {
 	ExecFraction float64 `json:"event_executed_cycle_fraction"`
 }
 
+// eightCoreRow is one Quick-scale Figure 7b mix under the five
+// mechanisms, each config run under both engines back to back.
+type eightCoreRow struct {
+	Mix          []string `json:"mix"`
+	Jobs         int      `json:"jobs"`
+	StepperMS    float64  `json:"stepper_ms"`
+	EventMS      float64  `json:"event_ms"`
+	Speedup      float64  `json:"speedup"`
+	ExecFraction float64  `json:"event_executed_cycle_fraction"`
+}
+
 // record is the BENCH_simcore.json schema.
 type record struct {
 	Generated   string                 `json:"generated"`
@@ -84,6 +100,7 @@ type record struct {
 	Engines     map[string]engineStats `json:"engines"`
 	Speedup     float64                `json:"speedup_event_vs_stepper"`
 	PerWorkload []workloadRow          `json:"per_workload"`
+	EightCore   *eightCoreRow          `json:"eight_core,omitempty"`
 }
 
 func main() {
@@ -97,7 +114,7 @@ func main() {
 	compare := flag.String("compare", "",
 		"committed BENCH_simcore.json to diff against; fail on aggregate throughput regression")
 	maxRegress := flag.Float64("max-regress", 0.10,
-		"maximum tolerated fractional configs_per_sec regression for -compare")
+		"maximum tolerated fractional regression for -compare (configs_per_sec and eight-core executed-cycle fraction)")
 	showVersion := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 
@@ -222,6 +239,32 @@ func main() {
 	}
 	log.Printf("campaign speedup (event vs stepper): %.2fx", rec.Speedup)
 
+	// The eight-core engine path: the Figure 7b Quick-scale mix w1.
+	eight := &eightCoreRow{Mix: workload.EightCoreMixes(scale.MixSeed, 1)[0], Jobs: len(mechs)}
+	var eightExec, eightTotal int64
+	for _, m := range mechs {
+		cfg := sim.DefaultConfig(eight.Mix...)
+		cfg.WarmupInstructions = scale.WarmupInstructions
+		cfg.RunInstructions = scale.RunInstructions
+		cfg.Mechanism = m
+		wall, _, _ := runOne(cfg, true)
+		eight.StepperMS += float64(wall) / float64(time.Millisecond)
+		wall, _, sys := runOne(cfg, false)
+		eight.EventMS += float64(wall) / float64(time.Millisecond)
+		eightExec += sys.ExecutedCycles()
+		eightTotal += sys.TotalCycles()
+	}
+	eight.Speedup = eight.StepperMS / eight.EventMS
+	eight.ExecFraction = float64(eightExec) / float64(eightTotal)
+	rec.EightCore = eight
+	log.Printf("eight-core mix speedup (event vs stepper): %.2fx, executed-cycle fraction %.4f",
+		eight.Speedup, eight.ExecFraction)
+	if *minSpeedup > 0 && eight.Speedup < *minSpeedup {
+		log.Printf("FAIL: eight-core mix event engine speedup %.3fx below floor %.2fx (stepper %.1f ms, event %.1f ms)",
+			eight.Speedup, *minSpeedup, eight.StepperMS, eight.EventMS)
+		slow++
+	}
+
 	blob, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
 		log.Fatal(err)
@@ -242,8 +285,9 @@ func main() {
 	}
 }
 
-// compareAgainst diffs the fresh record's aggregate throughput against a
-// committed baseline and errors on a regression beyond tolerance.
+// compareAgainst diffs the fresh record's aggregate throughput and
+// eight-core executed-cycle fraction against a committed baseline and errors on a
+// regression beyond tolerance.
 func compareAgainst(path string, fresh record, tolerance float64) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -266,6 +310,16 @@ func compareAgainst(path string, fresh record, tolerance float64) error {
 			return fmt.Errorf("compare: %s engine configs_per_sec regressed %.1f%% (> %.0f%% tolerated) against %s",
 				engine, 100*drop, 100*tolerance, path)
 		}
+	}
+	if base.EightCore == nil || fresh.EightCore == nil {
+		return nil
+	}
+	was, now := base.EightCore, fresh.EightCore
+	log.Printf("compare eight-core speedup: committed %.2fx, fresh %.2fx; executed-cycle fraction: committed %.4f, fresh %.4f",
+		was.Speedup, now.Speedup, was.ExecFraction, now.ExecFraction)
+	if was.ExecFraction > 0 && now.ExecFraction/was.ExecFraction-1 > tolerance {
+		return fmt.Errorf("compare: eight-core executed-cycle fraction rose from %.4f to %.4f (> %.0f%% tolerated) against %s",
+			was.ExecFraction, now.ExecFraction, 100*tolerance, path)
 	}
 	return nil
 }

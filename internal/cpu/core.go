@@ -10,7 +10,10 @@
 // the window.
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // TraceRecord is one unit of work: Bubbles non-memory instructions
 // followed by one load, optionally paired with a writeback that models a
@@ -93,6 +96,17 @@ type Core struct {
 	// issue does not allocate a closure per access.
 	onData []func()
 
+	// Lazy clock (see Wake); clock is nil while the core is ticked
+	// eagerly. at is the first cycle not yet applied to the core's
+	// state, due the next cycle that needs a Tick (NoDue while blocked),
+	// and gapBlocked tells whether the cycles in between are blocked
+	// (AdvanceIdle) or pure (RunAhead) ones.
+	clock      *int64
+	target     uint64
+	at         int64
+	due        int64
+	gapBlocked bool
+
 	retired    uint64
 	cycles     uint64
 	stallFull  uint64 // cycles fully stalled with a full window
@@ -119,8 +133,17 @@ func New(cfg Config, trace TraceReader, mem MemPort) (*Core, error) {
 	for i := range c.onData {
 		idx := i
 		c.onData[i] = func() {
+			if c.clock == nil {
+				c.window[idx] = slotDone
+				c.inFlight--
+				return
+			}
+			// Data arrives after the core phase of cycle *clock, so
+			// that cycle still ran on the old state.
+			c.Settle(*c.clock + 1)
 			c.window[idx] = slotDone
 			c.inFlight--
+			c.plan()
 		}
 	}
 	c.nextRecord()
@@ -263,12 +286,11 @@ func (c *Core) popSlot() {
 // Cycle skipping
 //
 // The event-driven engine (internal/sim) advances simulated time in
-// jumps. The three methods below are the core's side of the contract:
-// SkipBudget reports how far the core can jump, and AdvanceIdle /
+// jumps. SkipBudget reports how far the core can jump, and AdvanceIdle /
 // RunAhead apply a jump with state and counters bit-identical to the
-// same number of Tick calls. The engine guarantees that no memory
-// callback (load data return) fires inside a jump — callbacks only run
-// during executed cycles, which bound every jump.
+// same number of Tick calls. A caller of these three bounds each jump
+// by the next load data return; the lazy clock below (Wake) lets a data
+// return land inside a skipped gap instead.
 
 // SkipBudget classifies the core's next-cycle behaviour for the
 // event-driven engine.
@@ -288,10 +310,10 @@ func (c *Core) popSlot() {
 //
 // target is the retirement goal of the current measurement window: the
 // budget is clamped so retirement can never reach target inside a jump,
-// keeping target crossings on executed cycles where the engine observes
-// them, exactly like the reference stepper. max caps the answer (the
-// engine never jumps past its external-event horizon, so the budget
-// needs no look-ahead beyond it).
+// keeping target crossings on ticked cycles where the engine observes
+// them, exactly like the reference stepper. max caps the answer (a
+// caller bounding the jump by its external-event horizon needs no
+// look-ahead beyond it).
 func (c *Core) SkipBudget(target uint64, max int64) (blocked bool, pure int64) {
 	headDone := c.count > 0 && c.window[c.head] == slotDone
 	if !headDone {
@@ -312,6 +334,11 @@ func (c *Core) SkipBudget(target uint64, max int64) (blocked bool, pure int64) {
 		pure = max
 	}
 	switch {
+	case c.count == 0:
+		// Empty window, which only a core that has not ticked yet
+		// has: its first Tick starts the flow that retires from the
+		// next cycle on.
+		return false, 0
 	case !headDone:
 		// Head is a waiting load: no retirement, issue-only until the
 		// window fills.
@@ -412,6 +439,85 @@ func (c *Core) RunAhead(k int64) {
 		c.head = (c.head + n) % size
 	} else {
 		c.count += n
+	}
+}
+
+// NoDue is Due's answer for a core blocked on memory: only a load data
+// return can make it due again.
+const NoDue int64 = math.MaxInt64
+
+// Lazy clock
+//
+// The event engine keeps one clock per core and ticks a core
+// only on the cycles where it can act. Wake starts the core's clock at
+// the engine's master clock, which the core only reads; Due reports the
+// next cycle that needs a Tick, the engine calls Step on that cycle, and
+// Settle brings the core up to a given cycle. The skipped cycles are
+// applied in bulk (AdvanceIdle or RunAhead, as SkipBudget classified
+// them) only when something touches the core: a Step, a Settle, or a
+// load data return. A data return fires during the LLC or controller
+// phase of cycle *clock, after that cycle's core phase, so it applies
+// the gap through *clock, marks its slot and plans again.
+//
+// Because SkipBudget clamps pure gaps below target, retirement crosses
+// target only inside a Step, where the engine checks it. Between Wake
+// and the final Settle the core is driven only through Step and Settle.
+
+// Wake starts the lazy clock at *clock for a window whose retirement
+// goal is target. The core's state must be current for cycle *clock:
+// fresh, or settled there.
+//
+//ccsim:zeroalloc
+func (c *Core) Wake(clock *int64, target uint64) {
+	c.clock = clock
+	c.target = target
+	c.at = *clock
+	c.plan()
+}
+
+// Due returns the next cycle the core needs a Step, or NoDue.
+//
+//ccsim:zeroalloc
+func (c *Core) Due() int64 { return c.due }
+
+// Step runs cycle *clock, which must not lie past Due: it applies the
+// skipped cycles before it, ticks, and plans the next gap.
+//
+//ccsim:zeroalloc
+func (c *Core) Step() {
+	c.Settle(*c.clock)
+	c.Tick()
+	c.at++
+	c.plan()
+}
+
+// Settle applies the skipped cycles before t, which must not lie past
+// Due.
+//
+//ccsim:zeroalloc
+func (c *Core) Settle(t int64) {
+	k := t - c.at
+	if k <= 0 {
+		return
+	}
+	if c.gapBlocked {
+		c.AdvanceIdle(k)
+	} else {
+		c.RunAhead(k)
+	}
+	c.at = t
+}
+
+// plan classifies the cycles from at on and sets due.
+//
+//ccsim:zeroalloc
+func (c *Core) plan() {
+	blocked, pure := c.SkipBudget(c.target, NoDue)
+	c.gapBlocked = blocked
+	if blocked {
+		c.due = NoDue
+	} else {
+		c.due = c.at + pure
 	}
 }
 

@@ -151,6 +151,9 @@ func TestDifferentialLongHorizon(t *testing.T) {
 		{"mix42-0-baseline-seed1", workload.EightCoreMixes(42, 4)[0], Baseline, 1, 300_000, 150_000},
 		// The mix with two STREAMcopy cores.
 		{"mix7-11-seed7", workload.EightCoreMixes(7, 16)[11], ChargeCache, 7, 300_000, 150_000},
+		// hmmer stays in the LLC and reaches its target long before the
+		// other seven, then keeps running on its own lazy clock.
+		{"mix-hmmer-early-seed5", hmmerEarlyMix, ChargeCache, 5, 300_000, 150_000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,6 +166,11 @@ func TestDifferentialLongHorizon(t *testing.T) {
 		})
 	}
 }
+
+// hmmerEarlyMix is an eight-core mix whose first core finishes long
+// before the rest: hmmer's 2 MB footprint stays in the LLC while the
+// other seven are memory-bound.
+var hmmerEarlyMix = []string{"hmmer", "STREAMcopy", "tpch17", "soplex", "sjeng", "tpcc64", "mcf", "libquantum"}
 
 // TestDifferentialChannelsAndPolicies covers the scheduling dimensions:
 // row policy × channel count (multi-channel exercises per-channel

@@ -127,6 +127,7 @@ func FuzzEngines(f *testing.F) {
 	f.Add(fuzzInput(f, []string{"libquantum"}, ChargeCache, 1, 1, memctrl.OpenRow, 0, full, full))
 	f.Add(fuzzInput(f, workload.EightCoreMixes(42, 4)[0], Baseline, 1, 2, memctrl.ClosedRow, 0, full, full/2))
 	f.Add(fuzzInput(f, workload.EightCoreMixes(7, 16)[11], ChargeCache, 7, 2, memctrl.ClosedRow, 0, full, full/2))
+	f.Add(fuzzInput(f, hmmerEarlyMix, ChargeCache, 5, 2, memctrl.ClosedRow, 0, full, full/2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cfg := fuzzConfig(data)
 		assertSameResult(t, runChecked(t, cfg, false), runChecked(t, cfg, true))

@@ -6,7 +6,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/power"
@@ -118,6 +117,7 @@ func (s *System) Run() (Result, error) {
 		})
 	}
 
+	s.syncMechanisms()
 	busNow := s.nowCPU / int64(s.cfg.ClockRatio)
 	currents := power.DDR3Currents()
 	for _, ctrl := range s.ctrls {
@@ -245,22 +245,23 @@ func (s *System) runUntilStepper(target uint64, capCycles int64) ([]int64, bool)
 // clock across the provably idle stretches in between. Executed cycles
 // run the same component sequence as the stepper, so the interleaving
 // of core issue, LLC delivery and controller scheduling — and with it
-// every Result bit — is identical; skipped cycles are accounted into
-// the cores' cycle/stall counters in bulk (see cpu.Core.AdvanceIdle).
+// every Result bit — is identical. Each core runs on its own lazy clock
+// (see cpu.Core.Wake): an executed cycle steps only the cores due on
+// it, and the others apply their skipped cycles in bulk when a Step, a
+// load data return or the final Settle touches them.
 func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) {
 	if s.memCtrlWake == nil {
 		s.memCtrlWake = make([]int64, len(s.ctrls))
 	}
 	s.memDirty = true
-	if len(s.cores) == 1 && len(s.ctrls) == 1 {
-		return s.runUntilEventsSingle(target, capCycles)
-	}
 	n := len(s.cores)
 	doneAt := make([]int64, n)
 	remaining := n
 	start := s.nowCPU
 	ratio := int64(s.cfg.ClockRatio)
-	blocked := make([]bool, n)
+	for _, c := range s.cores {
+		c.Wake(&s.nowCPU, target)
+	}
 	for remaining > 0 && s.nowCPU < capCycles {
 		now := s.nowCPU
 		s.execCycles++
@@ -273,8 +274,17 @@ func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) 
 				ctrl.SyncClock(bus)
 			}
 		}
-		for _, c := range s.cores {
-			c.Tick()
+		// Ascending core index is the stepper's order at the LLC. Only
+		// a Tick retires across target (SkipBudget clamps the gaps).
+		for i, c := range s.cores {
+			if c.Due() != now {
+				continue
+			}
+			c.Step()
+			if doneAt[i] == 0 && c.Retired() >= target {
+				doneAt[i] = now + 1 - start
+				remaining--
+			}
 		}
 		// Component ticks are gated on their own event estimates: a tick
 		// strictly before a component's NextEvent is a no-op by the
@@ -299,16 +309,13 @@ func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) 
 			}
 		}
 		s.nowCPU = now + 1
-		for i, c := range s.cores {
-			if doneAt[i] == 0 && c.Retired() >= target {
-				doneAt[i] = s.nowCPU - start
-				remaining--
-			}
-		}
 		if remaining == 0 {
 			break
 		}
-		s.skipAhead(target, capCycles, blocked)
+		s.nowCPU = s.nextCycle(capCycles)
+	}
+	for _, c := range s.cores {
+		c.Settle(s.nowCPU)
 	}
 	saturated := remaining > 0
 	for i := range doneAt {
@@ -319,120 +326,27 @@ func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) 
 	return doneAt, saturated
 }
 
-// runUntilEventsSingle is runUntilEvents specialized for one core and
-// one controller — every single-core configuration, including the whole
-// benchmark campaign. Identical cycle-for-cycle behaviour; it only
-// strips the multi-component loops and scratch slices off the hot path.
-// The fork stays because it pays: folding it into runUntilEvents and
-// skipAhead ran the perfbench fig7-single workload (seed 1, 8 s runs,
-// 8 interleaved pairs on a 2-vCPU host) at 24.8 configs/s against 27.1
-// with the fork, which won all 8 pairs.
-func (s *System) runUntilEventsSingle(target uint64, capCycles int64) ([]int64, bool) {
-	core := s.cores[0]
-	ctrl := s.ctrls[0]
-	start := s.nowCPU
-	ratio := int64(s.cfg.ClockRatio)
-	doneCPU := int64(0)
-	for s.nowCPU < capCycles {
-		now := s.nowCPU
-		s.execCycles++
-		if now > 0 {
-			ctrl.SyncClock(dram.Cycle((now - 1) / ratio))
-		}
-		core.Tick()
-		if s.llc.NextEvent() <= now {
-			s.llc.Tick(now)
-		}
-		if now%ratio == 0 {
-			bus := dram.Cycle(now / ratio)
-			if ctrl.NeedsTick(bus) {
-				ctrl.Tick(bus)
-				s.memDirty = true
-			}
-		}
-		s.nowCPU = now + 1
-		if core.Retired() >= target {
-			doneCPU = s.nowCPU - start
-			break
-		}
-		s.skipAheadSingle(target, capCycles, core, ctrl, ratio)
-	}
-	saturated := doneCPU == 0
-	if saturated {
-		doneCPU = s.nowCPU - start
-	}
-	return []int64{doneCPU}, saturated
-}
-
-// skipAheadSingle is skipAhead for the one-core, one-controller shape.
-func (s *System) skipAheadSingle(target uint64, capCycles int64, core *cpu.Core, ctrl *memctrl.Controller, ratio int64) {
+// nextCycle returns the next cycle the event engine must execute,
+// at or after s.nowCPU: the earliest core due cycle, LLC delivery or
+// controller event (aligned to the CPU:bus clock ratio), bounded by the
+// cycle cap.
+func (s *System) nextCycle(capCycles int64) int64 {
 	now := s.nowCPU
-	bulk := capCycles - now
-	if bulk <= 0 {
-		return
-	}
-	if stamp := s.llc.Stamp(); s.memDirty || stamp != s.memStamp {
-		s.memStamp = stamp
-		s.memDirty = false
-		s.memLLCWake = s.llc.NextEvent()
-		s.memCtrlWake[0] = int64(ctrl.NextEvent())
-	}
-	if e := s.memLLCWake; e-now < bulk {
-		bulk = e - now
-		if bulk <= 0 {
-			return
+	next := capCycles
+	for _, c := range s.cores {
+		if d := c.Due(); d < next {
+			next = d
 		}
 	}
-	if ev := s.memCtrlWake[0]; ev < int64(dram.NoEvent) {
-		w := ev * ratio
-		if w < now {
-			w = (now + ratio - 1) / ratio * ratio
-		}
-		if w-now < bulk {
-			bulk = w - now
-			if bulk <= 0 {
-				return
-			}
-		}
+	if next <= now {
+		return now
 	}
-	if bulk == 1 {
-		return
-	}
-	isBlocked, pure := core.SkipBudget(target, bulk)
-	if !isBlocked {
-		if pure <= 0 {
-			return
-		}
-		if pure < bulk {
-			bulk = pure
-		}
-		core.RunAhead(bulk)
-	} else {
-		core.AdvanceIdle(bulk)
-	}
-	s.nowCPU = now + bulk
-}
-
-// skipAhead jumps s.nowCPU past cycles that are provably no-ops for
-// every component: the next executed cycle is bounded by the earliest
-// LLC delivery, the earliest controller event (aligned to the CPU:bus
-// clock ratio), the cycle cap, and each core's own skip budget. Cores
-// consume the jump either as accounted idle time (blocked on memory)
-// or as bulk bubble flow (RunAhead); both are bit-identical to ticking
-// them cycle by cycle.
-func (s *System) skipAhead(target uint64, capCycles int64, blocked []bool) {
-	now := s.nowCPU // first not-yet-executed cycle
-	bulk := capCycles - now
-	if bulk <= 0 {
-		return
-	}
-	// Timed horizons first: they cap how far the cores' budget checks
-	// need to look. The component estimates move only when the LLC was
-	// accessed or ticked (its stamp) or a controller ticked (memDirty) —
-	// enqueues always ride an LLC access — so executed cycles without
-	// memory activity reuse the horizon snapshot wholesale. A snapshot
-	// taken while a controller had fresh arrivals can only be earlier
-	// than the live estimate, which at worst wakes a no-op cycle.
+	// The component estimates move only when the LLC was accessed or
+	// ticked (its stamp) or a controller ticked (memDirty) — enqueues
+	// always ride an LLC access — so executed cycles without memory
+	// activity reuse the horizon snapshot wholesale. A snapshot taken
+	// while a controller had fresh arrivals can only be earlier than
+	// the live estimate, which at worst wakes a no-op cycle.
 	if stamp := s.llc.Stamp(); s.memDirty || stamp != s.memStamp {
 		s.memStamp = stamp
 		s.memDirty = false
@@ -441,11 +355,8 @@ func (s *System) skipAhead(target uint64, capCycles int64, blocked []bool) {
 			s.memCtrlWake[i] = int64(ctrl.NextEvent())
 		}
 	}
-	if e := s.memLLCWake; e-now < bulk {
-		bulk = e - now
-		if bulk <= 0 {
-			return
-		}
+	if e := s.memLLCWake; e < next {
+		next = e
 	}
 	ratio := int64(s.cfg.ClockRatio)
 	for _, ev := range s.memCtrlWake {
@@ -458,60 +369,36 @@ func (s *System) skipAhead(target uint64, capCycles int64, blocked []bool) {
 			// bus-aligned cycle is the earliest it can be serviced.
 			w = (now + ratio - 1) / ratio * ratio
 		}
-		if w-now < bulk {
-			bulk = w - now
-			if bulk <= 0 {
-				return
-			}
+		if w < next {
+			next = w
 		}
 	}
-	if bulk == 1 {
-		// A one-cycle jump saves nothing: executing the cycle costs less
-		// than the per-core budget queries and bulk-advance calls, and
-		// executing a skippable cycle is always bit-identical (the skip
-		// is an optimization, never a requirement).
+	if next < now {
+		return now
+	}
+	return next
+}
+
+// syncMechanisms brings every mechanism's lazily kept time (ChargeCache's
+// IIC/EC walk) up to the controllers' last bus-aligned cycle before the
+// master clock, the last one the reference stepper ticked, so the
+// window-edge stats do not depend on which ticks the event engine
+// skipped. Mechanism.Tick is gap-exact, so under the stepper this is a
+// no-op.
+func (s *System) syncMechanisms() {
+	if s.nowCPU == 0 {
 		return
 	}
-	if len(s.cores) == 1 {
-		c := s.cores[0]
-		isBlocked, pure := c.SkipBudget(target, bulk)
-		if !isBlocked {
-			if pure <= 0 {
-				return
-			}
-			if pure < bulk {
-				bulk = pure
-			}
-			c.RunAhead(bulk)
-		} else {
-			c.AdvanceIdle(bulk)
-		}
-		s.nowCPU = now + bulk
-		return
+	bus := dram.Cycle((s.nowCPU - 1) / int64(s.cfg.ClockRatio))
+	for _, ctrl := range s.ctrls {
+		ctrl.Mechanism().Tick(bus)
 	}
-	for i, c := range s.cores {
-		isBlocked, pure := c.SkipBudget(target, bulk)
-		blocked[i] = isBlocked
-		if !isBlocked && pure < bulk {
-			bulk = pure
-			if bulk <= 0 {
-				return
-			}
-		}
-	}
-	for i, c := range s.cores {
-		if blocked[i] {
-			c.AdvanceIdle(bulk)
-		} else {
-			c.RunAhead(bulk)
-		}
-	}
-	s.nowCPU = now + bulk
 }
 
 // resetAfterWarmup clears all statistics while keeping architectural
 // state (caches, HCRAC contents, open rows).
 func (s *System) resetAfterWarmup() {
+	s.syncMechanisms()
 	for _, c := range s.cores {
 		c.ResetStats()
 	}

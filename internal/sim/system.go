@@ -98,9 +98,9 @@ type System struct {
 	// (ExecutedCycles); always equals nowCPU under the stepper.
 	execCycles int64
 
-	// Memory-event horizon snapshot for skipAhead: the LLC and
-	// controller wake-ups, valid while the LLC stamp matches and no
-	// controller ticked (memDirty).
+	// Memory-event horizon snapshot for nextCycle:
+	// the LLC and controller wake-ups, valid while the LLC stamp
+	// matches and no controller ticked (memDirty).
 	memStamp    uint64
 	memDirty    bool
 	memLLCWake  int64

@@ -131,11 +131,12 @@ serve-fleet: build
 	done; wait
 
 # bench regenerates the evaluation's headline numbers and the sweep
-# scaling curve. CCSIM_BENCH_SCALE=default selects the paper-sized
+# scaling curve, and runs the controller-scheduling and DRAM-legality
+# micro-benchmarks once each so they keep compiling and running. CCSIM_BENCH_SCALE=default selects the paper-sized
 # Figure 7a campaign for the worker-scaling benchmark.
 .PHONY: bench
 bench: bench-simcore
-	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/sweep ./internal/experiments
+	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/sweep ./internal/experiments ./internal/memctrl ./internal/dram
 
 # bench-simcore measures the two execution engines (event-driven vs the
 # reference stepper) on the Quick-scale Figure 7a campaign and records
@@ -157,12 +158,13 @@ bench-check: zero-alloc-check
 
 # zero-alloc-check runs the testing.AllocsPerRun gates for the probe
 # hooks at every layer: DRAM command issue, ChargeCache operations, the
-# analysis collector's steady state, and the phase timer. The same
+# analysis collector's steady state, the phase timer, and the memory
+# controller's scheduling walk and address mapping. The same
 # functions carry //ccsim:zeroalloc, so `make lint` rejects allocating
 # constructs in them at analysis time too.
 .PHONY: zero-alloc-check
 zero-alloc-check:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/dram ./internal/core ./internal/analysis ./internal/prof
+	$(GO) test -run 'ZeroAlloc' -count=1 ./internal/dram ./internal/core ./internal/analysis ./internal/prof ./internal/memctrl
 
 # dashboard-smoke boots a scratch daemon headlessly and checks the
 # whole observability surface end to end: the embedded page (and its

@@ -5,63 +5,16 @@ package dram
 // can still add offsets without overflowing.
 const NoEvent Cycle = 1 << 56
 
-// RankActReady reports whether the rank-level activate constraints —
-// tRRD spacing, the tFAW window, and refresh busy, all folded into one
-// register — permit an ACT at cycle now. Like RankColumnReady it mirrors
-// CanIssue's rank checks so schedulers can skip per-request activate
-// probes that cannot succeed.
-func (c *Channel) RankActReady(rankID int, now Cycle) bool {
-	return c.ranks[rankID].canACT(now)
-}
-
-// RankColumnReady reports whether the rank-level constraints on column
-// commands — refresh busy, tCCD/turnaround spacing, and data-bus
-// occupancy — permit a read (isRead) or write at cycle now. It mirrors
-// exactly the rank and bus checks CanIssue applies to RD/WR, so
-// schedulers can hoist it out of per-request walks: when it is false,
-// no column command of that kind to this rank can issue this cycle
-// regardless of bank state.
-func (c *Channel) RankColumnReady(rankID int, isRead bool, now Cycle) bool {
-	r := &c.ranks[rankID]
-	if isRead {
-		return now >= r.nextRD && c.busFreeFor(now+c.tt.cl, rankID)
-	}
-	return now >= r.nextWR && c.busFreeFor(now+c.tt.cwl, rankID)
-}
-
-// BankColumnIssuable reports whether the bank-level half of a column
-// command's legality holds: row open and past the activation's tRCD.
-// Combined with RankColumnReady (the rank and data-bus half) it equals
-// CanIssue for a RD/WR whose coordinates are in range — the form
-// schedulers use on per-bank candidates without building a Command.
-func (c *Channel) BankColumnIssuable(rankID, bankID int, isRead bool, now Cycle) bool {
-	b := &c.ranks[rankID].banks[bankID]
-	if isRead {
-		return b.state == BankActive && now >= b.nextRD
-	}
-	return b.state == BankActive && now >= b.nextWR
-}
-
-// BankActIssuable reports the bank-level half of ACT legality (bank
-// precharged and past tRC/tRP). Combined with RankActReady it equals
-// CanIssue for an in-range ACT.
-func (c *Channel) BankActIssuable(rankID, bankID int, now Cycle) bool {
-	return c.ranks[rankID].banks[bankID].canACT(now)
-}
-
-// PreIssuable equals CanIssue for an in-range PRE: a row is open, past
-// tRAS/tRTP/tWR, and the rank is not refreshing.
-func (c *Channel) PreIssuable(rankID, bankID int, now Cycle) bool {
-	r := &c.ranks[rankID]
-	return !r.refreshing(now) && r.banks[bankID].canPRE(now)
-}
+// The *IssueAt reads below are the scheduler's legality source: for an
+// in-range command to a bank in the stated state, "IssueAt ≤ now" equals
+// CanIssue at now, so one read both decides legality and gives the exact
+// wake-up when the command is not yet legal.
 
 // ColumnIssueAt returns the exact earliest cycle at which a RD/WR to
 // (rank, bank) can issue, assuming the bank stays active and no other
 // command intervenes: the bank's tRCD bound, the rank's tCCD/turnaround
-// bound, and the data-bus release (with tRTRS if the bus last served
-// another rank). Schedulers read it off the registers to compute exact
-// wake-ups instead of probing legality cycle by cycle.
+// bound (refresh folded in), and the data-bus release (with tRTRS if the
+// bus last served another rank).
 func (c *Channel) ColumnIssueAt(rankID, bankID int, isRead bool) Cycle {
 	r := &c.ranks[rankID]
 	free := c.dataBusFree
@@ -76,13 +29,15 @@ func (c *Channel) ColumnIssueAt(rankID, bankID int, isRead bool) Cycle {
 
 // ActIssueAt returns the exact earliest cycle an ACT to (rank, bank)
 // can issue, assuming the bank stays precharged and no command
-// intervenes.
+// intervenes: the bank's tRC/tRP bound and the rank's tRRD/tFAW/refresh
+// bound.
 func (c *Channel) ActIssueAt(rankID, bankID int) Cycle {
 	return maxCycle(c.ranks[rankID].banks[bankID].nextACT, c.ranks[rankID].nextACT)
 }
 
 // PreIssueAt returns the exact earliest cycle a PRE to (rank, bank) can
-// issue, assuming the bank stays active and no command intervenes.
+// issue, assuming the bank stays active and no command intervenes: the
+// bank's tRAS/tRTP/tWR bound and the end of a refresh.
 func (c *Channel) PreIssueAt(rankID, bankID int) Cycle {
 	return maxCycle(c.ranks[rankID].banks[bankID].nextPRE, c.ranks[rankID].refreshUntil)
 }

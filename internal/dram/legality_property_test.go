@@ -231,7 +231,9 @@ func (o *scanOracle) earliestActivate(rank, bank int, now Cycle) Cycle {
 // random legal command sequences — ACT-heavy, so the tFAW window is
 // under constant pressure — and checks, at every step and for every
 // command in a sampled command space, that the incrementally maintained
-// next-allowed registers give exactly the scan-derived answer.
+// next-allowed registers give exactly the scan-derived answer, both
+// through CanIssue and through the ready-at reads the scheduler judges
+// legality by (ActIssueAt, PreIssueAt, ColumnIssueAt).
 func TestLegalityMatchesScanOracle(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 4242} {
 		spec := twoRankSpec()
@@ -277,6 +279,30 @@ func TestLegalityMatchesScanOracle(t *testing.T) {
 				if got != want {
 					t.Fatalf("seed %d step %d cycle %d: CanIssue(%v) = %v, oracle says %v",
 						seed, step, now, cmd, got, want)
+				}
+			}
+			// The scheduler's ready-at reads: for an ACT to a precharged
+			// bank, and a PRE/RD/WR to an open one, "IssueAt <= now"
+			// must equal the oracle's verdict.
+			for _, cmd := range candidates {
+				if cmd.Kind == CmdREF {
+					continue
+				}
+				var at Cycle
+				_, open := ch.OpenRow(cmd.Rank, cmd.Bank)
+				switch {
+				case cmd.Kind == CmdACT && !open:
+					at = ch.ActIssueAt(cmd.Rank, cmd.Bank)
+				case cmd.Kind == CmdPRE && open:
+					at = ch.PreIssueAt(cmd.Rank, cmd.Bank)
+				case (cmd.Kind == CmdRD || cmd.Kind == CmdWR) && open:
+					at = ch.ColumnIssueAt(cmd.Rank, cmd.Bank, cmd.Kind == CmdRD)
+				default:
+					continue
+				}
+				if got, want := at <= now, oracle.legal(cmd, now); got != want {
+					t.Fatalf("seed %d step %d cycle %d: %v ready at %d (legal %v), oracle says %v",
+						seed, step, now, cmd, at, got, want)
 				}
 			}
 			for r := 0; r < spec.Geometry.Ranks; r++ {

@@ -3,12 +3,12 @@ package memctrl
 // The controller keeps its request queues per (rank, bank) rather than
 // as one flat FIFO. FR-FCFS order is recovered from per-request arrival
 // sequence numbers: within a bank the queue is arrival-ordered, so each
-// bank contributes at most one scheduling candidate per pass (the oldest
-// row-hit, or the oldest row-changer), and the global pick is the
-// minimum sequence number among the banks whose candidate is legal this
-// cycle. Banks whose rank gate or next-allowed register has not expired
-// are skipped wholesale — the walks the flat queue paid on every cycle
-// collapse to a handful of register comparisons.
+// bank contributes at most one candidate per pick (the oldest row-hit
+// for the first-ready pick; the oldest row-changer, or a precharged
+// bank's head, for the FCFS pick), and each pick is the minimum sequence
+// number among the banks whose candidate is legal this cycle. Legality is one ready-at read per candidate off the bank and
+// rank registers — the walks the flat queue paid on every cycle collapse
+// to a handful of register comparisons.
 
 // kindQ is one bank's queue for one request kind, arrival-ordered.
 //
@@ -24,9 +24,7 @@ type kindQ struct {
 	uniformRow int
 
 	// Candidate memos: the scheduler asks for the same (queue, row)
-	// lookups several times per cycle (both selection passes, the
-	// next-issue-time computation) and across consecutive cycles while
-	// the queue is unchanged. ver bumps on every mutation; a memo is
+	// lookups across consecutive cycles while the queue is unchanged. ver bumps on every mutation; a memo is
 	// valid while its ver and row match. Deep non-uniform queues —
 	// write drains, conflict-heavy workloads — go from a scan per
 	// lookup to a scan per mutation.

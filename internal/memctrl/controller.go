@@ -64,10 +64,6 @@ func (c Config) Validate() error {
 	if c.Channel < 0 || c.Channel >= c.Spec.Geometry.Channels {
 		return fmt.Errorf("memctrl: channel %d out of range", c.Channel)
 	}
-	if c.Spec.Geometry.Ranks > maxRanks {
-		return fmt.Errorf("memctrl: %d ranks exceed the supported maximum %d",
-			c.Spec.Geometry.Ranks, maxRanks)
-	}
 	if c.ReadQueueCap <= 0 || c.WriteQueueCap <= 0 {
 		return fmt.Errorf("memctrl: queue capacities must be positive")
 	}
@@ -88,10 +84,6 @@ const (
 	latencyBuckets     = 64
 	latencyBucketWidth = 8
 )
-
-// maxRanks bounds per-tick stack scratch (DDR3 DIMMs top out at 4
-// ranks; the specs in this repo use 1 or 2).
-const maxRanks = 8
 
 // Stats aggregates controller-level counters.
 type Stats struct {
@@ -170,11 +162,12 @@ type completion struct {
 // serviced in drain mode governed by queue watermarks.
 //
 // Requests are queued per (rank, bank); arrival sequence numbers
-// recover the global FCFS order. Each scheduling pass visits only the
-// banks with queued work (a bitmask per kind), takes each bank's single
-// candidate, and picks the oldest among the banks whose next-allowed
-// registers have expired — identical decisions to a flat-queue walk,
-// without touching requests that cannot make progress this cycle.
+// recover the global FCFS order. One walk (schedule) visits only the
+// banks with queued work (a bitmask per kind) and the banks marked for a
+// closed-row precharge, judges each bank's candidates by the cycle their
+// command becomes legal, and yields both this cycle's pick and the
+// earliest cycle any candidate becomes legal — identical decisions to a
+// flat-queue walk, without touching requests that cannot make progress.
 type Controller struct {
 	cfg Config
 	ch  *dram.Channel
@@ -191,13 +184,10 @@ type Controller struct {
 	refresh []*refreshEngine // per rank
 
 	// closeIntent marks banks the closed-row policy wants to precharge
-	// once no queued request wants their open row (indexed
-	// rank*banks+bank): set when a column command serves the last queued
-	// request for the row, cleared by whichever PRE closes the bank.
-	// closeIntents counts the marks so the event scan knows precharge
-	// work may be outstanding.
-	closeIntent  []bool
-	closeIntents int
+	// once no queued request wants their open row: set when a column
+	// command serves the last queued request for the row, cleared by
+	// whichever PRE closes the bank.
+	closeIntent bankSet
 
 	// completions is a FIFO ring (reads complete in issue order):
 	// compHead is advanced on delivery and the buffer reused once
@@ -217,12 +207,20 @@ type Controller struct {
 	needScan bool
 	scanFrom dram.Cycle
 
-	// schedEpoch increments whenever the inputs of nextIssueTime can
-	// have changed: a command issued (registers, bank states, close
-	// intents, drain mode) or a request arrived (queues).
-	// Completion deliveries leave them untouched, so delivery ticks
-	// reuse the cached value.
+	// schedEpoch increments whenever the inputs of the scheduler's walk
+	// can have changed: a command issued (registers, bank states, close
+	// intents, drain mode) or a request arrived (queues). Completion
+	// deliveries leave them untouched. Within one epoch the walk's
+	// minimum ready-at is fixed, so the event engine needs one walk per
+	// epoch: a failed selection records its minimum in missEpoch/missAt,
+	// and nextIssueTime publishes it (walking only when no failed
+	// selection ran this epoch) into issueTimeEpoch/issueTimeCache, the
+	// pair Tick's skip guard reads. Only NextEvent's scan publishes, so
+	// the reference stepper, which never asks, selects on every tick and
+	// stays independent of the horizon it checks.
 	schedEpoch     uint64
+	missEpoch      uint64
+	missAt         dram.Cycle
 	issueTimeEpoch uint64
 	issueTimeCache dram.Cycle
 
@@ -246,7 +244,7 @@ func NewController(cfg Config) (*Controller, error) {
 		banks:       make([]bankQ, nb),
 		readBanks:   newBankSet(nb),
 		writeBanks:  newBankSet(nb),
-		closeIntent: make([]bool, nb),
+		closeIntent: newBankSet(nb),
 	}
 	for r := 0; r < cfg.Spec.Geometry.Ranks; r++ {
 		c.refresh = append(c.refresh, newRefreshEngine(cfg.Spec, cfg.Channel, r))
@@ -398,9 +396,10 @@ func (c *Controller) Tick(now dram.Cycle) bool {
 		progressed = true
 		issued = refIssued
 	} else if c.issueTimeEpoch != c.schedEpoch+1 || c.issueTimeCache <= now {
-		// Skipped while the cached exact next-issue time is valid (no
+		// Skipped while the published exact next-issue time is valid (no
 		// issue or arrival since it was computed) and still ahead, as on
-		// delivery-only ticks: nothing can issue this cycle.
+		// delivery-only ticks: nothing can issue this cycle. Only
+		// NextEvent publishes it, so a stepper-only run never skips.
 		issued = c.runScheduler(now)
 		progressed = progressed || issued
 	}
@@ -475,15 +474,13 @@ func (c *Controller) nextEventScan(now dram.Cycle) dram.Cycle {
 		add(c.ch.NextTimingExpiry(now))
 		return next
 	}
-	if c.nReads > 0 || c.nWrites > 0 || c.closeIntents > 0 {
-		// A command already legal at now lost this tick's single
-		// command-bus slot (or arrived with it): it issues next cycle.
-		t := c.nextIssueTime()
-		if t <= now {
-			t = now + 1
-		}
-		add(t)
+	// A command already legal at now lost this tick's single command-bus
+	// slot (or arrived with it): it issues next cycle.
+	t := c.nextIssueTime(now)
+	if t <= now {
+		t = now + 1
 	}
+	add(t)
 	return next
 }
 
@@ -514,22 +511,6 @@ func (c *Controller) deliverCompletions(now dram.Cycle) bool {
 		c.compHead = 0
 	}
 	return delivered
-}
-
-// markCloseIntent flags (rank, bank) for a closed-row precharge.
-func (c *Controller) markCloseIntent(idx int) {
-	if !c.closeIntent[idx] {
-		c.closeIntent[idx] = true
-		c.closeIntents++
-	}
-}
-
-// clearCloseIntent drops the flag on (rank, bank).
-func (c *Controller) clearCloseIntent(idx int) {
-	if c.closeIntent[idx] {
-		c.closeIntent[idx] = false
-		c.closeIntents--
-	}
 }
 
 // serviceRefresh gives absolute priority to due refreshes: it closes open
@@ -591,7 +572,8 @@ func (c *Controller) activeSet(isRead bool) *bankSet {
 // runScheduler performs one cycle of FR-FCFS scheduling: selection and
 // at most one command issue. The first command issued on a request's
 // behalf fixes its row-buffer outcome. It reports whether a command
-// issued.
+// issued; when none did, the walk's minimum ready-at is kept for
+// nextIssueTime.
 func (c *Controller) runScheduler(now dram.Cycle) bool {
 	isRead := !c.drain
 	pt := c.cfg.Profiler.Begin(prof.Select)
@@ -601,8 +583,11 @@ func (c *Controller) runScheduler(now dram.Cycle) bool {
 	case sel.hit != nil:
 		c.classify(sel.hit, RowHit)
 		c.issueColumnAt(sel.hit, sel.hitIdx, sel.hitPos, isRead, now)
-	case c.cfg.RowPolicy == ClosedRow && c.issueCloseIntent(now):
+	case sel.closeIdx >= 0:
+		banks := c.cfg.Spec.Geometry.Banks
+		c.issuePrecharge(dram.Pre(sel.closeIdx/banks, sel.closeIdx%banks), sel.closeRow, now)
 	case sel.old == nil:
+		c.missEpoch, c.missAt = c.schedEpoch+1, sel.readyAt
 		return false
 	case sel.oldPre:
 		c.classify(sel.old, RowConflict)
@@ -616,39 +601,55 @@ func (c *Controller) runScheduler(now dram.Cycle) bool {
 	return true
 }
 
-// sched is one cycle's FR-FCFS selection: the first-ready pick (the
-// oldest open-row hit whose column is issuable) and the FCFS pick (the
-// oldest request needing its bank's row changed whose command is
-// issuable), computed side-effect-free in a single pass over the banks
-// with queued work.
+// sched is one walk's FR-FCFS verdict: the first-ready pick (the oldest
+// open-row hit whose column is legal), the closed-row precharge pick,
+// the FCFS pick (the oldest request needing its bank's row changed whose
+// command is legal), and the minimum ready-at over the candidates the
+// walk judged.
 type sched struct {
-	hit    *Request // first-ready pick, nil if none
-	hitIdx int
-	hitPos int
-	old    *Request // FCFS pick, nil if none
-	oldPre bool     // precharge (conflict) vs activate (miss)
-	oldRow int      // open row the precharge closes
+	hit      *Request // first-ready pick, nil if none
+	hitIdx   int
+	hitPos   int
+	closeIdx int      // bank whose close intent is picked, -1 if none
+	closeRow int      // open row that precharge closes
+	old      *Request // FCFS pick, nil if none
+	oldPre   bool     // precharge (conflict) vs activate (miss)
+	oldRow   int      // open row the precharge closes
+
+	// readyAt is the earliest cycle any judged candidate's command is
+	// legal. With no pick every candidate was judged, so it is the exact
+	// next-issue time; with a pick it is at most now.
+	readyAt dram.Cycle
 }
 
-// schedule runs both selection passes over the active banks in one
-// loop. Each bank contributes at most one candidate per pass — the
-// oldest open-row hit, and the oldest row-changer (or the queue head of
-// a closed bank) — and each pick is the minimum arrival sequence among
-// banks whose command is legal this cycle. Identical decisions to the
-// reference flat-queue walk: legality at a fixed cycle does not depend
-// on walk order, so first-legal-in-age-order equals min-seq-among-legal.
-// Rank-level gates (tCCD/turnaround/bus for columns, tRRD/tFAW/refresh
-// for activates) are evaluated once per touched rank and prune whole
-// banks.
+// ready folds a candidate's ready-at into the walk's minimum and reports
+// whether the candidate is legal at now.
+func (s *sched) ready(at, now dram.Cycle) bool {
+	if at < s.readyAt {
+		s.readyAt = at
+	}
+	return at <= now
+}
+
+// schedule is the scheduler's one walk. It judges every candidate by the
+// cycle its command becomes legal, read off the bank and rank registers:
+// each bank with queued work of the active kind offers its oldest
+// open-row hit (ColumnIssueAt) and its oldest row-changer (preReadyAt),
+// or, when precharged, its queue head (ActIssueAt; ACT legality is
+// row-independent, so only the head can be the pick); each closed-row
+// intent offers a precharge (preReadyAt). A candidate is legal iff its
+// ready-at is at most now, and each pick is the minimum arrival sequence
+// among legal candidates — the flat-queue walk's decision, since legality
+// at a fixed cycle does not depend on walk order. Priority is hit, then
+// close intent (lowest bank first), then FCFS; candidates that can no
+// longer win are not judged.
+//
+//ccsim:zeroalloc
 func (c *Controller) schedule(isRead bool, now dram.Cycle) sched {
 	set := c.activeSet(isRead)
 	geomBanks := c.cfg.Spec.Geometry.Banks
-	var colReady, colKnown, actReady, actKnown [maxRanks]bool
-	var out sched
-	hitSeq := noSeq
-	// First-ready pass: the oldest request on an open row whose column
-	// is issuable. The rank gate is checked before the bank's queue is
-	// touched — it is closed on most cycles between bursts.
+	out := sched{closeIdx: -1, readyAt: dram.NoEvent}
+	hitSeq, oldSeq := noSeq, noSeq
 	for w, word := range set.words {
 		for word != 0 {
 			bit := bits.TrailingZeros64(word)
@@ -656,183 +657,76 @@ func (c *Controller) schedule(isRead bool, now dram.Cycle) sched {
 			idx := w*64 + bit
 			rank := idx / geomBanks
 			bank := idx % geomBanks
-			if !colKnown[rank] {
-				colKnown[rank] = true
-				colReady[rank] = c.ch.RankColumnReady(rank, isRead, now)
-			}
-			if !colReady[rank] {
-				continue
-			}
+			kq := c.banks[idx].kind(isRead)
 			row, open := c.ch.OpenRow(rank, bank)
 			if !open {
+				if cand := kq.q[0]; out.hit == nil && cand.seq < oldSeq &&
+					out.ready(c.ch.ActIssueAt(rank, bank), now) {
+					out.old, oldSeq, out.oldPre = cand, cand.seq, false
+				}
 				continue
 			}
-			req, pos := c.banks[idx].kind(isRead).oldestRowHit(row)
-			if req == nil || req.seq >= hitSeq {
-				continue
-			}
-			if c.ch.BankColumnIssuable(rank, bank, isRead, now) {
+			if req, pos := kq.oldestRowHit(row); req != nil && req.seq < hitSeq &&
+				out.ready(c.ch.ColumnIssueAt(rank, bank, isRead), now) {
 				out.hit, hitSeq, out.hitIdx, out.hitPos = req, req.seq, idx, pos
+			}
+			if out.hit != nil {
+				continue
+			}
+			if cand := kq.oldestRowChanger(row); cand != nil && cand.seq < oldSeq &&
+				out.ready(c.preReadyAt(rank, bank), now) {
+				out.old, oldSeq, out.oldPre, out.oldRow = cand, cand.seq, true, row
 			}
 		}
 	}
 	if out.hit != nil {
 		return out
 	}
-	// FCFS pass, only when no column hit issues: the oldest request
-	// needing its bank's row changed.
-	oldSeq := noSeq
-	for w, word := range set.words {
+	for w, word := range c.closeIntent.words {
 		for word != 0 {
 			bit := bits.TrailingZeros64(word)
 			word &^= 1 << uint(bit)
 			idx := w*64 + bit
-			rank := idx / geomBanks
-			bank := idx % geomBanks
-			kq := c.banks[idx].kind(isRead)
-			row, open := c.ch.OpenRow(rank, bank)
-			if !open {
-				// Miss: the head request wants an ACT. ACT legality is
-				// row-independent, so only the head can be the pick.
-				cand := kq.q[0]
-				if cand.seq >= oldSeq {
-					continue
-				}
-				if !actKnown[rank] {
-					actKnown[rank] = true
-					actReady[rank] = c.ch.RankActReady(rank, now)
-				}
-				if actReady[rank] && c.ch.BankActIssuable(rank, bank, now) {
-					out.old, oldSeq, out.oldPre = cand, cand.seq, false
-				}
-				continue
-			}
-			// Conflict: close the row on behalf of the oldest request
-			// wanting a different one.
-			if cand := kq.oldestRowChanger(row); cand != nil && cand.seq < oldSeq {
-				if c.ch.PreIssuable(rank, bank, now) && c.preUseful(rank, bank, now) {
-					out.old, oldSeq, out.oldPre, out.oldRow = cand, cand.seq, true, row
-				}
-			}
-		}
-	}
-	return out
-}
-
-// issueCloseIntent precharges a bank the closed-row policy marked,
-// unless a queued request now wants the open row again (the mark stays:
-// serving that request re-marks it anyway).
-func (c *Controller) issueCloseIntent(now dram.Cycle) bool {
-	if c.closeIntents == 0 {
-		return false
-	}
-	for idx, want := range c.closeIntent {
-		if !want {
-			continue
-		}
-		rank := idx / c.cfg.Spec.Geometry.Banks
-		bankID := idx % c.cfg.Spec.Geometry.Banks
-		row, open := c.ch.OpenRow(rank, bankID)
-		if !open || c.anyPendingFor(rank, bankID, row) {
-			continue
-		}
-		pre := dram.Pre(rank, bankID)
-		if c.ch.CanIssue(pre, now) && c.preUseful(rank, bankID, now) {
-			c.issuePrecharge(pre, row, now)
-			return true
-		}
-	}
-	return false
-}
-
-// nextIssueTime returns the exact earliest cycle at which the
-// scheduler could issue a command, read off the per-bank next-allowed
-// registers: for every bank with queued work of the active kind, the
-// ready time of its first-ready candidate (oldest open-row hit) and its
-// FCFS candidate (conflict precharge or miss activate), plus any
-// closed-row precharge intents. Exact because nothing the
-// computation depends on — queues, bank states, registers, drain mode —
-// can change before that cycle without an executed event (arrivals mark
-// the controller dirty, which overrides the estimate).
-func (c *Controller) nextIssueTime() dram.Cycle {
-	if c.issueTimeEpoch == c.schedEpoch+1 {
-		return c.issueTimeCache
-	}
-	v := c.computeNextIssueTime()
-	c.issueTimeEpoch = c.schedEpoch + 1
-	c.issueTimeCache = v
-	return v
-}
-
-func (c *Controller) computeNextIssueTime() dram.Cycle {
-	isRead := !c.drain
-	set := c.activeSet(isRead)
-	geomBanks := c.cfg.Spec.Geometry.Banks
-	rp := dram.Cycle(c.cfg.Spec.Timing.RP)
-	at := dram.NoEvent
-	for w, word := range set.words {
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << uint(bit)
-			idx := w*64 + bit
-			rank := idx / geomBanks
-			bank := idx % geomBanks
-			kq := c.banks[idx].kind(isRead)
-			row, open := c.ch.OpenRow(rank, bank)
-			if !open {
-				if t := c.ch.ActIssueAt(rank, bank); t < at {
-					at = t
-				}
-				continue
-			}
-			if hit, _ := kq.oldestRowHit(row); hit != nil {
-				if t := c.ch.ColumnIssueAt(rank, bank, isRead); t < at {
-					at = t
-				}
-			}
-			if kq.oldestRowChanger(row) != nil {
-				// Conflict precharge: legality plus the preUseful bound
-				// (a PRE earlier than tRP before the bank's ACT window
-				// cannot help).
-				t := c.ch.PreIssueAt(rank, bank)
-				if u := c.ch.EarliestActivate(rank, bank) - rp; u > t {
-					t = u
-				}
-				if t < at {
-					at = t
-				}
-			}
-		}
-	}
-	if c.cfg.RowPolicy == ClosedRow && c.closeIntents > 0 {
-		for idx, want := range c.closeIntent {
-			if !want {
-				continue
-			}
 			rank := idx / geomBanks
 			bank := idx % geomBanks
 			row, open := c.ch.OpenRow(rank, bank)
 			if !open || c.anyPendingFor(rank, bank, row) {
 				continue // held while a request wants the row
 			}
-			t := c.ch.PreIssueAt(rank, bank)
-			if u := c.ch.EarliestActivate(rank, bank) - rp; u > t {
-				t = u
-			}
-			if t < at {
-				at = t
+			if out.ready(c.preReadyAt(rank, bank), now) {
+				out.closeIdx, out.closeRow = idx, row
+				return out
 			}
 		}
 	}
-	return at
+	return out
 }
 
-// preUseful reports whether precharging (rank, bank) now can shorten the
-// next activation. Precharging earlier than tRP before the bank's
+// nextIssueTime returns the earliest cycle at which the scheduler could
+// issue a command: the walk's minimum ready-at, exact when it lies after
+// now (with no legal candidate the walk judged every one) and at most
+// now otherwise. Exact because nothing the walk depends on — queues,
+// bank states, registers, close intents, drain mode — can change before
+// that cycle without an executed event (arrivals mark the controller
+// dirty, which overrides the estimate). A failed selection in the same
+// epoch already walked, so its minimum is reused.
+func (c *Controller) nextIssueTime(now dram.Cycle) dram.Cycle {
+	if c.issueTimeEpoch != c.schedEpoch+1 {
+		at := c.missAt
+		if c.missEpoch != c.schedEpoch+1 {
+			at = c.schedule(!c.drain, now).readyAt
+		}
+		c.issueTimeEpoch, c.issueTimeCache = c.schedEpoch+1, at
+	}
+	return c.issueTimeCache
+}
+
+// preReadyAt is the cycle from which precharging (rank, bank) is both
+// legal and useful. Precharging earlier than tRP before the bank's
 // same-bank ACT bound only sacrifices potential row hits: the reopen
 // cannot start sooner anyway.
-func (c *Controller) preUseful(rank, bankID int, now dram.Cycle) bool {
-	return now+dram.Cycle(c.cfg.Spec.Timing.RP) >= c.ch.EarliestActivate(rank, bankID)
+func (c *Controller) preReadyAt(rank, bankID int) dram.Cycle {
+	return max(c.ch.PreIssueAt(rank, bankID), c.ch.EarliestActivate(rank, bankID)-dram.Cycle(c.cfg.Spec.Timing.RP))
 }
 
 // classify counts a request's row-buffer outcome once, at the first
@@ -880,7 +774,7 @@ func (c *Controller) issueActivate(req *Request, now dram.Cycle) bool {
 
 func (c *Controller) issuePrecharge(pre dram.Command, row int, now dram.Cycle) {
 	c.ch.Issue(pre, now)
-	c.clearCloseIntent(pre.Rank*c.cfg.Spec.Geometry.Banks + pre.Bank)
+	c.closeIntent.clear(pre.Rank*c.cfg.Spec.Geometry.Banks + pre.Bank)
 	key := core.MakeRowKey(pre.Rank, pre.Bank, row)
 	c.cfg.Mechanism.OnPrecharge(key, now)
 	if c.cfg.Observer != nil {
@@ -916,7 +810,7 @@ func (c *Controller) issueColumnAt(req *Request, idx, pos int, isRead bool, now 
 	}
 	if c.cfg.RowPolicy == ClosedRow &&
 		!c.anyPendingFor(req.Coord.Rank, req.Coord.Bank, req.Coord.Row) {
-		c.markCloseIntent(idx)
+		c.closeIntent.set(idx)
 	}
 }
 

@@ -512,44 +512,130 @@ func TestRequestAndPolicyStrings(t *testing.T) {
 	}
 }
 
-// TestManyRandomRequestsDrain is a smoke test: a burst of random-row
-// requests must all complete, with refreshes interleaved, and the
-// controller must end idle.
+// TestManyRandomRequestsDrain sends a burst of random reads and writes
+// (write bursts push the queue past the drain watermark, so drain mode
+// flips) through each row policy on one and two ranks, into two
+// controllers: one ticked on every cycle, as the reference stepper
+// does, and a twin ticked only where NeedsTick holds, with SyncClock
+// before each enqueue, as the event engine does. Every request must
+// complete, at the same cycle in both, with identical Stats, refreshes
+// interleaved and both controllers idle at the end. The every-cycle
+// controller never publishes a next-issue time, so its selection ran on
+// every tick the refresh engine left it, independent of the horizon the
+// twin follows.
 func TestManyRandomRequestsDrain(t *testing.T) {
-	c := mustCtrl(t, ctrlConfig(ClosedRow))
-	c.Tick(0)
-	completed := 0
-	rng := uint64(12345)
-	next := func(mod int) int {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return int(rng % uint64(mod))
-	}
-	enqueued := 0
-	for now := dram.Cycle(1); now < 100_000; now++ {
-		if enqueued < 500 && now%50 == 0 {
-			req := &Request{
-				Kind:  ReadReq,
-				Coord: Coord{Bank: next(8), Row: next(1024), Col: next(128)},
-				OnComplete: func(dram.Cycle) {
-					completed++
-				},
+	for _, tc := range []struct {
+		name   string
+		policy RowPolicy
+		ranks  int
+	}{
+		{"open-row/1-rank", OpenRow, 1},
+		{"closed-row/1-rank", ClosedRow, 1},
+		{"open-row/2-rank", OpenRow, 2},
+		{"closed-row/2-rank", ClosedRow, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ctrlConfig(tc.policy)
+			cfg.Spec.Geometry.Ranks = tc.ranks
+			spec := cfg.Spec
+			newCC := func() core.Mechanism {
+				cc, err := core.NewChargeCache(core.ChargeCacheConfig{
+					Entries:  32,
+					Assoc:    2,
+					Duration: spec.MillisecondsToCycles(1),
+					Fast:     dram.TimingClass{RCD: 7, RAS: 20},
+					Default:  spec.Timing.DefaultClass(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return cc
 			}
-			if c.EnqueueRead(req) {
-				enqueued++
+			cfg.Mechanism = newCC()
+			every := mustCtrl(t, cfg)
+			cfg.Mechanism = newCC()
+			twin := mustCtrl(t, cfg)
+
+			const n, horizon = 1500, 200_000
+			doneEvery := make([]dram.Cycle, n)
+			doneTwin := make([]dram.Cycle, n)
+			newReq := func(i int, kind RequestKind, coord Coord, done []dram.Cycle) *Request {
+				return &Request{Kind: kind, Coord: coord, OnComplete: func(at dram.Cycle) { done[i] = at }}
 			}
-		}
-		c.Tick(now)
-	}
-	if completed != enqueued {
-		t.Errorf("completed %d of %d reads", completed, enqueued)
-	}
-	if c.Pending() {
-		t.Error("controller still pending at end")
-	}
-	if c.Stats().Refreshes == 0 {
-		t.Error("no refreshes over 100k cycles")
+			rng := uint64(12345 + tc.ranks)
+			next := func(mod int) int {
+				rng ^= rng << 13
+				rng ^= rng >> 7
+				rng ^= rng << 17
+				return int(rng % uint64(mod))
+			}
+			every.Tick(0)
+			twin.Tick(0)
+			enqueued, twinTicks, drainFlips := 0, 1, 0
+			drain := false
+			for now := dram.Cycle(1); now < horizon; now++ {
+				// Every 2000 cycles, a 120-cycle write burst arrives at
+				// one request per cycle; reads arrive every 40 cycles.
+				burst := now%2000 < 120
+				if enqueued < n && (burst || now%40 == 0) {
+					kind := ReadReq
+					if burst {
+						kind = WriteReq
+					}
+					coord := Coord{Rank: next(tc.ranks), Bank: next(8), Row: next(24), Col: next(128)}
+					twin.SyncClock(now - 1)
+					var okEvery, okTwin bool
+					if kind == ReadReq {
+						okEvery = every.EnqueueRead(newReq(enqueued, kind, coord, doneEvery))
+						okTwin = twin.EnqueueRead(newReq(enqueued, kind, coord, doneTwin))
+					} else {
+						okEvery = every.EnqueueWrite(newReq(enqueued, kind, coord, doneEvery))
+						okTwin = twin.EnqueueWrite(newReq(enqueued, kind, coord, doneTwin))
+					}
+					if okEvery != okTwin {
+						t.Fatalf("cycle %d: enqueue accepted %v every-cycle, %v twin", now, okEvery, okTwin)
+					}
+					if okEvery {
+						enqueued++
+					}
+				}
+				every.Tick(now)
+				if every.drain != drain {
+					drain = every.drain
+					drainFlips++
+				}
+				if twin.NeedsTick(now) {
+					twin.Tick(now)
+					twinTicks++
+				}
+			}
+			for i := 0; i < enqueued; i++ {
+				if doneEvery[i] == 0 || doneEvery[i] != doneTwin[i] {
+					t.Fatalf("request %d completed at %d every-cycle, %d twin", i, doneEvery[i], doneTwin[i])
+				}
+			}
+			if enqueued < n {
+				t.Errorf("only %d of %d requests accepted", enqueued, n)
+			}
+			if every.Pending() || twin.Pending() {
+				t.Error("controller still pending at end")
+			}
+			if es, ts := every.Stats(), twin.Stats(); es != ts {
+				t.Errorf("Stats differ:\nevery-cycle %+v\ntwin        %+v", es, ts)
+			}
+			if every.Stats().Refreshes == 0 {
+				t.Errorf("no refreshes over %d cycles", horizon)
+			}
+			if drainFlips < 4 {
+				t.Errorf("drain mode flipped %d times; the write bursts should flip it repeatedly", drainFlips)
+			}
+			if every.issueTimeEpoch != 0 {
+				t.Error("the every-cycle controller published a next-issue time; its selection must not depend on the horizon")
+			}
+			if twinTicks*4 > horizon {
+				t.Errorf("twin ticked on %d of %d cycles; the horizon is not skipping idle ticks", twinTicks, horizon)
+			}
+		})
 	}
 }
 

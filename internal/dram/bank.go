@@ -21,9 +21,9 @@ func (s BankState) String() string {
 // bank tracks one bank's row-buffer state and, per command kind, the
 // earliest cycle at which that command may next be issued to it. The
 // registers are maintained incrementally: each Issue advances exactly
-// the registers its timing arcs constrain, so legality checks are pure
-// field comparisons. The per-bank constraints are exactly the DDR3
-// intra-bank ones:
+// the registers its timing arcs constrain, so the Channel's *IssueAt
+// reads are pure field comparisons. The per-bank constraints are exactly
+// the DDR3 intra-bank ones:
 //
 //	ACT -> RD/WR   tRCD (from the ACT's timing class)
 //	ACT -> PRE     tRAS (from the ACT's timing class)
@@ -40,11 +40,6 @@ type bank struct {
 	nextWR  Cycle
 	nextPRE Cycle
 
-	// maxReg is the running maximum of the four registers above, so the
-	// channel's expiry scan can skip long-idle banks (every register in
-	// the past) with one comparison.
-	maxReg Cycle
-
 	lastACT      Cycle // issue time of the most recent ACT
 	lastACTClass TimingClass
 }
@@ -56,24 +51,6 @@ func (b *bank) reset() {
 // openRow returns the open row and whether the bank is active.
 func (b *bank) openRow() (int, bool) {
 	return b.row, b.state == BankActive
-}
-
-func (b *bank) canACT(now Cycle) bool {
-	return b.state == BankPrecharged && now >= b.nextACT
-}
-
-func (b *bank) canRD(now Cycle) bool {
-	return b.state == BankActive && now >= b.nextRD
-}
-
-func (b *bank) canWR(now Cycle) bool {
-	return b.state == BankActive && now >= b.nextWR
-}
-
-func (b *bank) canPRE(now Cycle) bool {
-	// Precharging an already-precharged bank is a legal no-op in DDR3,
-	// but the controller never needs it; require an open row.
-	return b.state == BankActive && now >= b.nextPRE
 }
 
 func (b *bank) applyACT(now Cycle, row int, class TimingClass, tt *timingTable) {
@@ -89,24 +66,20 @@ func (b *bank) applyACT(now Cycle, row int, class TimingClass, tt *timingTable) 
 		rc = Cycle(class.RAS) + tt.rp
 	}
 	b.nextACT = maxCycle(b.nextACT, now+rc)
-	b.maxReg = maxCycle(b.maxReg, maxCycle(b.nextACT, maxCycle(b.nextRD, maxCycle(b.nextWR, b.nextPRE))))
 }
 
 func (b *bank) applyRD(now Cycle, tt *timingTable) {
 	b.nextPRE = maxCycle(b.nextPRE, now+tt.rtp)
-	b.maxReg = maxCycle(b.maxReg, b.nextPRE)
 }
 
 func (b *bank) applyWR(now Cycle, tt *timingTable) {
 	b.nextPRE = maxCycle(b.nextPRE, now+tt.wrToPre)
-	b.maxReg = maxCycle(b.maxReg, b.nextPRE)
 }
 
 func (b *bank) applyPRE(now Cycle, tt *timingTable) {
 	b.state = BankPrecharged
 	b.row = 0
 	b.nextACT = maxCycle(b.nextACT, now+tt.rp)
-	b.maxReg = maxCycle(b.maxReg, b.nextACT)
 }
 
 func maxCycle(a, b Cycle) Cycle {

@@ -41,28 +41,3 @@ func BenchmarkChannelCanIssue(b *testing.B) {
 	}
 	_ = sink
 }
-
-// BenchmarkChannelNextTimingExpiry measures the wake-up bound query on
-// the same busy state (cached between issues; the first query after an
-// issue pays the register-file scan).
-func BenchmarkChannelNextTimingExpiry(b *testing.B) {
-	spec := twoRankSpec()
-	ch, err := NewChannel(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cls := spec.Timing.DefaultClass()
-	now := Cycle(0)
-	for _, cmd := range []Command{Act(0, 0, 5, cls), Act(1, 0, 3, cls)} {
-		for !ch.CanIssue(cmd, now) {
-			now++
-		}
-		ch.Issue(cmd, now)
-	}
-	b.ResetTimer()
-	var sink Cycle
-	for i := 0; i < b.N; i++ {
-		sink = ch.NextTimingExpiry(now)
-	}
-	_ = sink
-}

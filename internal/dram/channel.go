@@ -26,9 +26,10 @@ type CommandCounts struct {
 //
 // Command legality is tracked as next-allowed-cycle registers, one per
 // (bank|rank, command kind), advanced incrementally at Issue time from
-// the precomputed timing table — CanIssue and EarliestActivate are pure
-// field comparisons, and NextTimingExpiry is a cached read of the
-// register file, invalidated only when a command moves it.
+// the precomputed timing table. The *IssueAt reads (events.go) fold
+// them into the exact cycle each command becomes legal; they are the
+// model's only legality definition, and CanIssue is a coordinate and
+// bank-state check plus "IssueAt ≤ now".
 //
 // Channel is not safe for concurrent use; the simulator drives each
 // channel from a single goroutine.
@@ -41,12 +42,6 @@ type Channel struct {
 	// start, together with the rank that last used the bus (for tRTRS).
 	dataBusFree Cycle
 	dataBusRank int
-
-	// expiryCache memoizes NextTimingExpiry between issues; expiryStale
-	// marks it invalid after a command moved the registers.
-	expiryCache Cycle
-	expiryFrom  Cycle
-	expiryStale bool
 
 	counts      CommandCounts
 	now         Cycle // last issue or sync time, for accounting
@@ -114,67 +109,37 @@ func (c *Channel) Refreshing(rankID int, now Cycle) bool {
 	return c.ranks[rankID].refreshing(now)
 }
 
-// AllBanksPrecharged reports whether every bank of the rank is closed.
-func (c *Channel) AllBanksPrecharged(rankID int) bool {
-	return c.ranks[rankID].allPrecharged()
-}
-
-// CanIssue reports whether cmd may legally issue at cycle now. Every
-// case is a bounded number of register comparisons: refresh busy is
-// folded into the rank registers at REF issue, and the tFAW window head
-// into the rank ACT register at ACT issue.
+// CanIssue reports whether cmd may legally issue at cycle now: its
+// coordinates are in range, its bank is in the state the command needs
+// (REF: every bank of the rank closed), and its ready-at read is at most
+// now.
 //
 //ccsim:zeroalloc
 func (c *Channel) CanIssue(cmd Command, now Cycle) bool {
-	if cmd.Rank < 0 || cmd.Rank >= len(c.ranks) {
+	g := &c.spec.Geometry
+	if cmd.Rank < 0 || cmd.Rank >= g.Ranks {
 		return false
 	}
-	r := &c.ranks[cmd.Rank]
+	if cmd.Kind == CmdREF {
+		return c.ranks[cmd.Rank].openBanks == 0 && c.RefIssueAt(cmd.Rank) <= now
+	}
+	if cmd.Bank < 0 || cmd.Bank >= g.Banks {
+		return false
+	}
+	open := c.ranks[cmd.Rank].banks[cmd.Bank].state == BankActive
 	switch cmd.Kind {
 	case CmdACT:
-		if cmd.Bank < 0 || cmd.Bank >= len(r.banks) ||
-			cmd.Row < 0 || cmd.Row >= c.spec.Geometry.Rows {
-			return false
-		}
-		return r.canACT(now) && r.banks[cmd.Bank].canACT(now)
+		return !open && cmd.Row >= 0 && cmd.Row < g.Rows && c.ActIssueAt(cmd.Rank, cmd.Bank) <= now
 	case CmdPRE:
-		if cmd.Bank < 0 || cmd.Bank >= len(r.banks) {
-			return false
-		}
-		return !r.refreshing(now) && r.banks[cmd.Bank].canPRE(now)
-	case CmdRD:
-		if !c.colInRange(cmd) || now < r.nextRD {
-			return false
-		}
-		return r.banks[cmd.Bank].canRD(now) && c.busFreeFor(now+c.tt.cl, cmd.Rank)
-	case CmdWR:
-		if !c.colInRange(cmd) || now < r.nextWR {
-			return false
-		}
-		return r.banks[cmd.Bank].canWR(now) && c.busFreeFor(now+c.tt.cwl, cmd.Rank)
-	case CmdREF:
-		return r.canREF(now)
+		// Precharging a closed bank is a legal no-op in DDR3, but the
+		// controller never needs it; require an open row.
+		return open && c.PreIssueAt(cmd.Rank, cmd.Bank) <= now
+	case CmdRD, CmdWR:
+		return open && cmd.Col >= 0 && cmd.Col < g.Columns &&
+			c.ColumnIssueAt(cmd.Rank, cmd.Bank, cmd.Kind == CmdRD) <= now
 	default:
 		return false
 	}
-}
-
-// colInRange bounds-checks a column command's coordinates. Refresh busy
-// needs no check here: applyREF folds the tRFC window into the rank's
-// column registers.
-func (c *Channel) colInRange(cmd Command) bool {
-	return cmd.Bank >= 0 && cmd.Bank < c.spec.Geometry.Banks &&
-		cmd.Col >= 0 && cmd.Col < c.spec.Geometry.Columns
-}
-
-// busFreeFor reports whether a data burst starting at start can use the
-// data bus, given the previous burst's occupancy and rank switching.
-func (c *Channel) busFreeFor(start Cycle, rankID int) bool {
-	free := c.dataBusFree
-	if c.dataBusRank >= 0 && c.dataBusRank != rankID {
-		free += c.tt.rtrs
-	}
-	return start >= free
 }
 
 // Issue applies cmd at cycle now. It panics if the command is illegal;
@@ -201,7 +166,6 @@ func (c *Channel) Issue(cmd Command, now Cycle) {
 	r := &c.ranks[cmd.Rank]
 	r.settle(now)
 	c.now = now
-	c.expiryStale = true
 	switch cmd.Kind {
 	case CmdACT:
 		b := &r.banks[cmd.Bank]

@@ -25,7 +25,7 @@ func TestCheckerAcceptsLegalSequence(t *testing.T) {
 }
 
 func TestCheckerFlagsViolations(t *testing.T) {
-	spec := testSpec()
+	spec := twoRankSpec()
 	tm := spec.Timing
 	cls := tm.DefaultClass()
 	cases := []struct {
@@ -96,6 +96,20 @@ func TestCheckerFlagsViolations(t *testing.T) {
 		{"PRE on closed bank", func(c *Checker) {
 			c.Observe(Pre(0, 0), 10)
 		}, "closed"},
+		{"cross-rank RD inside BL+tRTRS", func(c *Checker) {
+			c.Observe(Act(0, 0, 1, cls), 0)
+			c.Observe(Act(1, 0, 1, cls), 1)
+			c.Observe(Read(0, 0, 0), Cycle(tm.RCD))
+			c.Observe(Read(1, 0, 0), Cycle(tm.RCD+tm.BL+tm.RTRS-1))
+		}, "tRTRS"},
+		{"cross-rank WR after RD inside BL+tRTRS", func(c *Checker) {
+			c.Observe(Act(0, 0, 1, cls), 0)
+			c.Observe(Act(1, 0, 1, cls), 1)
+			c.Observe(Read(0, 0, 0), Cycle(tm.RCD))
+			// The write burst starts CWL after the command; the read's
+			// ends CL+BL after its own.
+			c.Observe(Write(1, 0, 0), Cycle(tm.RCD+tm.CL+tm.BL+tm.RTRS-tm.CWL-1))
+		}, "tRTRS"},
 	}
 	for _, tc := range cases {
 		chk := NewChecker(spec)
@@ -139,6 +153,21 @@ func TestCheckerAcceptsReducedClassUnderDerivedRC(t *testing.T) {
 	chk2.Observe(Act(0, 0, 2, fast), Cycle(18+tm.RP))
 	if len(chk2.Violations()) == 0 {
 		t.Error("fixed-tRC checker accepted early reopen")
+	}
+
+	// So is a REF there (refresh activates rows internally), and the
+	// channel agrees.
+	chk3 := NewChecker(fixed)
+	ch, _ := NewChannel(fixed)
+	ch.SetTracer(chk3.Observe)
+	ch.Issue(Act(0, 0, 1, fast), 0)
+	ch.Issue(Pre(0, 0), 18)
+	ref, at := Refresh(0), Cycle(18+tm.RP)
+	if chk3.Legal(ref, at) || ch.CanIssue(ref, at) {
+		t.Errorf("fixed tRC: REF at %d legal to checker %v, channel %v", at, chk3.Legal(ref, at), ch.CanIssue(ref, at))
+	}
+	if at = Cycle(tm.RC); !chk3.Legal(ref, at) || !ch.CanIssue(ref, at) {
+		t.Errorf("fixed tRC: REF at %d legal to checker %v, channel %v", at, chk3.Legal(ref, at), ch.CanIssue(ref, at))
 	}
 }
 

@@ -71,21 +71,7 @@ func (r *rank) accountTo(now Cycle) {
 	r.lastEdge = now
 }
 
-func (r *rank) allPrecharged() bool { return r.openBanks == 0 }
-
 func (r *rank) refreshing(now Cycle) bool { return now < r.refreshUntil }
-
-// canACT is a single comparison: tRRD, the tFAW window head, and tRFC
-// are all folded into nextACT at apply time.
-func (r *rank) canACT(now Cycle) bool { return now >= r.nextACT }
-
-// canREF: REF spacing plus "refresh activates rows internally": every
-// bank must be precharged and past its precharge (tRP) and activate
-// (tRC) windows, like an ACT would be. Both are O(1) reads thanks to
-// openBanks and the running maxBankNextACT.
-func (r *rank) canREF(now Cycle) bool {
-	return r.openBanks == 0 && now >= r.nextREF && now >= r.maxBankNextACT
-}
 
 // noteBankACT folds a bank's advanced nextACT register into the running
 // rank maximum. Call after every bank nextACT update (ACT and PRE).

@@ -407,29 +407,16 @@ func (c *Controller) Tick(now dram.Cycle) bool {
 		c.schedEpoch++
 		c.updateDrainMode()
 	}
-	// Fresh arrivals (dirty) force the next cycle, and so does an issue
-	// during a refresh-preparation stall: the next forced PRE (or the
-	// REF) may already be legal, having lost only this cycle's command
-	// slot, and the stall's event scan sees only register expiries.
-	// Everything else comes from the event scan.
-	wake := c.dirty
-	if issued && !wake {
-		for _, eng := range c.refresh {
-			if eng.pending {
-				wake = true
-				break
-			}
-		}
-	}
+	// Fresh arrivals (dirty) force the next cycle; everything else comes
+	// from the event scan.
 	switch {
-	case wake:
+	case c.dirty:
 		c.nextWake = now + 1
 		c.needScan = false
 	case progressed || arrived || c.needScan || c.nextWake <= now:
 		// The estimate is stale: state changed (an issue, a delivery, a
 		// refresh owning the channel), an arrival was consumed (the
-		// queues changed since the estimate was computed, which may have
-		// been while idle, without the timing-expiry bound), a scan was
+		// queues changed since the estimate was computed), a scan was
 		// already owed, or the cached bound has been reached. Recompute
 		// lazily from this cycle.
 		c.needScan = true
@@ -446,10 +433,9 @@ func (c *Controller) Tick(now dram.Cycle) bool {
 
 // nextEventScan computes NextEvent the slow way, after a tick in which
 // something happened (or the previous estimate expired): the next
-// completion, refresh deadline, the exact next-issue time read off the
-// bank registers, or — during a refresh-preparation stall — the
-// channel's earliest constraint expiry (the stall re-evaluates at every
-// register flip of the refreshing rank).
+// completion, refresh deadline, and either the exact next-issue time
+// read off the bank registers or — during a refresh-preparation stall —
+// the ready-at of the preparation's next step.
 func (c *Controller) nextEventScan(now dram.Cycle) dram.Cycle {
 	next := dram.NoEvent
 	add := func(t dram.Cycle) {
@@ -460,27 +446,24 @@ func (c *Controller) nextEventScan(now dram.Cycle) dram.Cycle {
 	if len(c.completions) > c.compHead {
 		add(c.completions[c.compHead].at)
 	}
-	stalled := false
-	for _, eng := range c.refresh {
+	stalled := -1
+	for rank, eng := range c.refresh {
 		add(eng.nextDue)
-		if eng.pending {
-			stalled = true
+		if eng.pending && stalled < 0 {
+			stalled = rank
 		}
 	}
-	if stalled {
+	// A step already legal at now lost this tick's single command-bus
+	// slot (or arrived with it): it issues next cycle.
+	if stalled >= 0 {
 		// A due refresh owns the channel: normal scheduling is blocked
-		// and the preparation (forced precharges, then REF) advances at
-		// the next register expiry.
-		add(c.ch.NextTimingExpiry(now))
+		// and serviceRefresh serves the first pending rank, whose next
+		// step (a forced precharge, then REF) issues at its ready-at.
+		_, _, at := c.refreshStep(stalled, now)
+		add(max(at, now+1))
 		return next
 	}
-	// A command already legal at now lost this tick's single command-bus
-	// slot (or arrived with it): it issues next cycle.
-	t := c.nextIssueTime(now)
-	if t <= now {
-		t = now + 1
-	}
-	add(t)
+	add(max(c.nextIssueTime(now), now+1))
 	return next
 }
 
@@ -513,40 +496,59 @@ func (c *Controller) deliverCompletions(now dram.Cycle) bool {
 	return delivered
 }
 
-// serviceRefresh gives absolute priority to due refreshes: it closes open
-// banks of the rank and issues REF when possible. busy reports that a
-// due refresh owns the channel this cycle (blocking normal scheduling);
-// issued distinguishes an actual REF/PRE issue from a pure stall
-// waiting on a timing expiry.
+// serviceRefresh gives absolute priority to due refreshes: it issues the
+// first due rank's next refresh step (a forced precharge, then REF) once
+// that step is legal. busy reports that a due refresh owns the channel
+// this cycle (blocking normal scheduling); issued distinguishes an actual
+// REF/PRE issue from a pure stall waiting on a timing expiry.
 func (c *Controller) serviceRefresh(now dram.Cycle) (busy, issued bool) {
 	for rank, eng := range c.refresh {
 		if !eng.due(now) {
 			continue
 		}
-		if c.ch.CanIssue(dram.Refresh(rank), now) {
-			c.ch.Issue(dram.Refresh(rank), now)
+		cmd, row, at := c.refreshStep(rank, now)
+		if at > now {
+			// Nothing issuable yet (e.g. tRAS running): stall this rank.
+			// With a single rank per channel this blocks the channel,
+			// which matches real controllers' refresh priority.
+			return true, false
+		}
+		if cmd.Kind == dram.CmdREF {
+			c.ch.Issue(cmd, now)
 			eng.issued(now)
 			c.stats.Refreshes++
-			return true, true
+		} else {
+			c.issuePrecharge(cmd, row, now)
 		}
-		// Close any open bank so REF can issue.
-		for b := 0; b < c.cfg.Spec.Geometry.Banks; b++ {
-			row, open := c.ch.OpenRow(rank, b)
-			if !open {
-				continue
-			}
-			pre := dram.Pre(rank, b)
-			if c.ch.CanIssue(pre, now) {
-				c.issuePrecharge(pre, row, now)
-				return true, true
-			}
-		}
-		// Refresh pending but nothing issuable yet (e.g. tRAS running):
-		// stall this rank. With a single rank per channel this blocks
-		// the channel, which matches real controllers' refresh priority.
-		return true, false
+		return true, true
 	}
 	return false, false
+}
+
+// refreshStep returns the refresh preparation's next command for rank,
+// the open row it closes (for a PRE), and the cycle it becomes legal:
+// REF once every bank of the rank is closed; otherwise a PRE of the
+// lowest-index open bank whose PRE is legal at now, or, when none is
+// yet, of the open bank whose PRE becomes legal first.
+func (c *Controller) refreshStep(rank int, now dram.Cycle) (cmd dram.Command, row int, at dram.Cycle) {
+	at = dram.NoEvent
+	for b := 0; b < c.cfg.Spec.Geometry.Banks; b++ {
+		open, isOpen := c.ch.OpenRow(rank, b)
+		if !isOpen {
+			continue
+		}
+		t := c.ch.PreIssueAt(rank, b)
+		if t <= now {
+			return dram.Pre(rank, b), open, t
+		}
+		if t < at {
+			cmd, row, at = dram.Pre(rank, b), open, t
+		}
+	}
+	if at == dram.NoEvent { // every bank closed
+		return dram.Refresh(rank), 0, c.ch.RefIssueAt(rank)
+	}
+	return cmd, row, at
 }
 
 // updateDrainMode re-evaluates write-drain mode from the queue depths:
@@ -593,9 +595,7 @@ func (c *Controller) runScheduler(now dram.Cycle) bool {
 		c.classify(sel.old, RowConflict)
 		c.issuePrecharge(dram.Pre(sel.old.Coord.Rank, sel.old.Coord.Bank), sel.oldRow, now)
 	default:
-		if !c.issueActivate(sel.old, now) {
-			panic("memctrl: selected activate became illegal")
-		}
+		c.issueActivate(sel.old, now)
 		c.classify(sel.old, RowMiss)
 	}
 	return true
@@ -750,15 +750,12 @@ func (c *Controller) classify(req *Request, outcome RowOutcome) {
 	}
 }
 
-func (c *Controller) issueActivate(req *Request, now dram.Cycle) bool {
+// issueActivate issues the ACT serving req. The selection walk already
+// judged it legal (ActIssueAt ≤ now, independent of the timing class), so
+// the mechanism observes only activations that actually issue.
+func (c *Controller) issueActivate(req *Request, now dram.Cycle) {
 	key := core.MakeRowKey(req.Coord.Rank, req.Coord.Bank, req.Coord.Row)
 	age := c.refresh[req.Coord.Rank].ageOf(req.Coord.Row, now)
-	// Probe legality with the spec class first: the mechanism must only
-	// observe activations that actually issue.
-	probe := dram.Act(req.Coord.Rank, req.Coord.Bank, req.Coord.Row, c.cfg.Spec.Timing.DefaultClass())
-	if !c.ch.CanIssue(probe, now) {
-		return false
-	}
 	class := c.cfg.Mechanism.OnActivate(key, now, age)
 	fast := class.RCD < c.cfg.Spec.Timing.RCD || class.RAS < c.cfg.Spec.Timing.RAS
 	c.ch.Issue(dram.Act(req.Coord.Rank, req.Coord.Bank, req.Coord.Row, class), now)
@@ -769,7 +766,6 @@ func (c *Controller) issueActivate(req *Request, now dram.Cycle) bool {
 	if c.cfg.Observer != nil {
 		c.cfg.Observer.ObserveActivate(c.cfg.Channel, key, now, age, fast)
 	}
-	return true
 }
 
 func (c *Controller) issuePrecharge(pre dram.Command, row int, now dram.Cycle) {

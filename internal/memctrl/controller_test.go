@@ -327,6 +327,41 @@ func TestRefreshClosesOpenBank(t *testing.T) {
 	}
 }
 
+// TestRefreshPrechargesLowestBankFirst pins the refresh preparation's
+// order: with two banks open and both PREs legal when the refresh comes
+// due, it closes the lowest-index bank first, even though the other
+// bank's PRE became legal earlier.
+func TestRefreshPrechargesLowestBankFirst(t *testing.T) {
+	c := mustCtrl(t, ctrlConfig(OpenRow))
+	var pres []dram.Command
+	c.Channel().SetTracer(func(cmd dram.Command, _ dram.Cycle) {
+		if cmd.Kind == dram.CmdPRE {
+			pres = append(pres, cmd)
+		}
+	})
+	var d0, d1 dram.Cycle = -1, -1
+	c.Tick(0)
+	c.EnqueueRead(readReq(Coord{Bank: 1, Row: 5}, &d1))
+	run(c, 1, 100)
+	c.EnqueueRead(readReq(Coord{Bank: 0, Row: 5}, &d0))
+	due := c.refresh[0].nextDue
+	run(c, 100, due)
+	ch := c.Channel()
+	if d0 < 0 || d1 < 0 || len(pres) != 0 {
+		t.Fatalf("setup: reads done at %d/%d, %d PREs before the refresh", d0, d1, len(pres))
+	}
+	if at0, at1 := ch.PreIssueAt(0, 0), ch.PreIssueAt(0, 1); at1 >= at0 || at0 > due {
+		t.Fatalf("setup: PRE ready at bank 0 %d, bank 1 %d; want bank 1 first, both by %d", at0, at1, due)
+	}
+	run(c, due, due+dram.Cycle(c.cfg.Spec.Timing.RFC))
+	if c.Stats().Refreshes != 1 {
+		t.Fatalf("refreshes = %d, want 1", c.Stats().Refreshes)
+	}
+	if want := []dram.Command{dram.Pre(0, 0), dram.Pre(0, 1)}; len(pres) != 2 || pres[0] != want[0] || pres[1] != want[1] {
+		t.Errorf("refresh precharges = %v, want %v", pres, want)
+	}
+}
+
 func TestRefreshAgeDecreasesAfterRefresh(t *testing.T) {
 	c := mustCtrl(t, ctrlConfig(OpenRow))
 	tm := c.cfg.Spec.Timing

@@ -79,7 +79,7 @@ func (n *NUAT) Name() string { return "NUAT" }
 func (n *NUAT) OnActivate(_ RowKey, _, refreshAge dram.Cycle) dram.TimingClass {
 	n.stats.Lookups++
 	cls := n.classFor(refreshAge)
-	if cls.RCD < n.cfg.Default.RCD || cls.RAS < n.cfg.Default.RAS {
+	if cls.Lowers(n.cfg.Default) {
 		n.stats.Hits++
 	}
 	return cls

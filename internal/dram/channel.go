@@ -25,8 +25,8 @@ type CommandCounts struct {
 // bus and a data bus. It is the unit the memory controller drives.
 //
 // Command legality is tracked as next-allowed-cycle registers, one per
-// (bank|rank, command kind), advanced incrementally at Issue time from
-// the precomputed timing table. The *IssueAt reads (events.go) fold
+// (bank|rank, command kind), advanced incrementally at Issue time
+// straight from the spec's Timing. The *IssueAt reads (events.go) fold
 // them into the exact cycle each command becomes legal; they are the
 // model's only legality definition, and CanIssue is a coordinate and
 // bank-state check plus "IssueAt ≤ now".
@@ -35,7 +35,6 @@ type CommandCounts struct {
 // channel from a single goroutine.
 type Channel struct {
 	spec  Spec
-	tt    timingTable
 	ranks []rank
 
 	// dataBusFree is the first cycle at which a new data burst could
@@ -72,7 +71,7 @@ func NewChannel(spec Spec) (*Channel, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	ch := &Channel{spec: spec, tt: makeTimingTable(spec.Timing), dataBusRank: -1}
+	ch := &Channel{spec: spec, dataBusRank: -1}
 	ch.ranks = make([]rank, spec.Geometry.Ranks)
 	for i := range ch.ranks {
 		ch.ranks[i] = newRank(spec.Geometry.Banks)
@@ -88,12 +87,8 @@ func (c *Channel) Counts() CommandCounts { return c.counts }
 
 // OpenRow reports the open row in (rank, bank), if any.
 func (c *Channel) OpenRow(rankID, bankID int) (row int, open bool) {
-	return c.ranks[rankID].banks[bankID].openRow()
-}
-
-// BankState returns the state of a bank.
-func (c *Channel) BankState(rankID, bankID int) BankState {
-	return c.ranks[rankID].banks[bankID].state
+	b := &c.ranks[rankID].banks[bankID]
+	return b.row, b.open
 }
 
 // EarliestActivate returns the earliest cycle at which the bank itself
@@ -102,11 +97,6 @@ func (c *Channel) BankState(rankID, bankID int) BankState {
 // earlier than it can possibly help the next activation.
 func (c *Channel) EarliestActivate(rankID, bankID int) Cycle {
 	return c.ranks[rankID].banks[bankID].nextACT
-}
-
-// Refreshing reports whether the rank is inside a tRFC refresh window.
-func (c *Channel) Refreshing(rankID int, now Cycle) bool {
-	return c.ranks[rankID].refreshing(now)
 }
 
 // CanIssue reports whether cmd may legally issue at cycle now: its
@@ -126,7 +116,7 @@ func (c *Channel) CanIssue(cmd Command, now Cycle) bool {
 	if cmd.Bank < 0 || cmd.Bank >= g.Banks {
 		return false
 	}
-	open := c.ranks[cmd.Rank].banks[cmd.Bank].state == BankActive
+	open := c.ranks[cmd.Rank].banks[cmd.Bank].open
 	switch cmd.Kind {
 	case CmdACT:
 		return !open && cmd.Row >= 0 && cmd.Row < g.Rows && c.ActIssueAt(cmd.Rank, cmd.Bank) <= now
@@ -162,44 +152,44 @@ func (c *Channel) Issue(cmd Command, now Cycle) {
 	if c.probe != nil {
 		c.observe(cmd, now)
 	}
-	tt := &c.tt
+	t := &c.spec.Timing
 	r := &c.ranks[cmd.Rank]
 	r.settle(now)
 	c.now = now
 	switch cmd.Kind {
 	case CmdACT:
 		b := &r.banks[cmd.Bank]
-		b.applyACT(now, cmd.Row, cmd.Class, tt)
-		r.applyACT(now, tt)
+		b.applyACT(now, cmd.Row, cmd.Class, t)
+		r.applyACT(now, t)
 		r.noteBankACT(b.nextACT)
 		r.openBanks++
 		c.counts.ACT++
 		c.counts.RASCycles += uint64(cmd.Class.RAS)
-		if Cycle(cmd.Class.RCD) < tt.rcd || Cycle(cmd.Class.RAS) < tt.ras {
+		if cmd.Class.Lowers(t.DefaultClass()) {
 			c.counts.FastACT++
 		}
 	case CmdPRE:
 		b := &r.banks[cmd.Bank]
-		b.applyPRE(now, tt)
+		b.applyPRE(now, t)
 		r.noteBankACT(b.nextACT)
 		r.openBanks--
 		c.counts.PRE++
 	case CmdRD:
 		b := &r.banks[cmd.Bank]
-		b.applyRD(now, tt)
-		r.applyRD(now, tt)
-		c.dataBusFree = now + tt.rdBusHold
+		b.applyRD(now, t)
+		r.applyRD(now, t)
+		c.dataBusFree = c.ReadDataAt(now)
 		c.dataBusRank = cmd.Rank
 		c.counts.RD++
 	case CmdWR:
 		b := &r.banks[cmd.Bank]
-		b.applyWR(now, tt)
-		r.applyWR(now, tt)
-		c.dataBusFree = now + tt.wrBusHold
+		b.applyWR(now, t)
+		r.applyWR(now, t)
+		c.dataBusFree = c.WriteDataAt(now)
 		c.dataBusRank = cmd.Rank
 		c.counts.WR++
 	case CmdREF:
-		r.applyREF(now, tt)
+		r.applyREF(now, t)
 		r.inRefreshWindow = true
 		c.counts.REF++
 	}
@@ -208,13 +198,13 @@ func (c *Channel) Issue(cmd Command, now Cycle) {
 // ReadDataAt returns the cycle at which read data issued at issueCycle is
 // fully transferred (end of burst).
 func (c *Channel) ReadDataAt(issueCycle Cycle) Cycle {
-	return issueCycle + c.tt.rdBusHold
+	return issueCycle + Cycle(c.spec.Timing.CL+c.spec.Timing.BL)
 }
 
 // WriteDataAt returns the cycle at which write data issued at issueCycle
 // is fully transferred.
 func (c *Channel) WriteDataAt(issueCycle Cycle) Cycle {
-	return issueCycle + c.tt.wrBusHold
+	return issueCycle + Cycle(c.spec.Timing.CWL+c.spec.Timing.BL)
 }
 
 // SyncAccounting integrates background-state accounting to cycle now.

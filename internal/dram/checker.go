@@ -5,31 +5,22 @@ import "fmt"
 // Checker is an independent DDR3 protocol validator: it re-derives every
 // inter-command constraint from first principles (its own command
 // history, deliberately structured differently from the channel's
-// next-allowed registers, and derived from Timing, never from the
-// channel's timing table) and reports a violation for any command that a
-// real device would reject. One rule set (check) answers both Legal, a
-// query, and Observe, which checks each issued command and then records
-// it. Attach Observe to a Channel with SetTracer and it validates the
-// full command stream; tests use it to cross-check the timing engine
-// against arbitrary controller behaviour.
+// next-allowed registers, and derived from Timing alone) and reports a
+// violation for any command that a real device would reject. One rule
+// set (check) answers both Legal, a query, and Observe, which checks
+// each issued command and then records it. Attach Observe to a Channel
+// with SetTracer and it validates the full command stream; tests use it
+// to cross-check the timing engine against arbitrary controller
+// behaviour.
+//
+// The inter-command timing constraints are data: ddr3Rules holds one
+// row per datasheet constraint. The bank-state rules, the tFAW window
+// and the data bus are the only constraints written as code.
 type Checker struct {
 	spec Spec
 
-	// Per (rank, bank) command history; index rank*banks+bank.
-	lastACT []Cycle
-	lastRD  []Cycle
-	lastWR  []Cycle
-	lastPRE []Cycle
-	openRow []int
-	isOpen  []bool
-	actRCD  []int // tRCD of the class used by the last ACT
-	actRAS  []int // tRAS of the class used by the last ACT
-
-	// Per rank.
-	rankACTs []([]Cycle) // ACT history for tRRD/tFAW
-	lastREF  []Cycle
-	rankRD   []Cycle
-	rankWR   []Cycle
+	banks []bankHistory // index rank*banks+bank
+	ranks []rankHistory
 
 	// The data bus: the end of the last burst and the rank it served.
 	busFree Cycle
@@ -38,19 +29,91 @@ type Checker struct {
 	violations []string
 }
 
+// bankHistory is the Checker's record of one bank.
+type bankHistory struct {
+	last  [numCommandKinds]Cycle // last issue time per command kind
+	class TimingClass            // timing class of the last ACT
+	open  bool
+	row   int
+}
+
+// rankHistory is the Checker's record of one rank.
+type rankHistory struct {
+	last [numCommandKinds]Cycle // last issue time per command kind
+	acts [4]Cycle               // the four most recent ACTs, oldest first
+}
+
+// ruleScope says whose history a rule's previous command is read from.
+type ruleScope uint8
+
+const (
+	sameBank  ruleScope = iota // the command's own bank
+	sameRank                   // any bank of the command's rank
+	everyBank                  // each bank of the rank in turn (REF)
+)
+
+// anyKind, as a rule's next kind, matches every command.
+const anyKind = numCommandKinds
+
+// rule is one DDR3 timing constraint: a command of kind next may not
+// issue less than gap cycles after a command of kind prev within scope.
+// gap reads the spec timing and the timing class of the bank's last
+// ACT, because tRCD, tRAS and tRC are per activation.
+type rule struct {
+	name       string
+	prev, next CommandKind
+	scope      ruleScope
+	gap        func(t *Timing, act TimingClass) int
+}
+
+// ddr3Rules is the DDR3 inter-command timing table.
+var ddr3Rules = []rule{
+	{"tRCD", CmdACT, CmdRD, sameBank, func(_ *Timing, act TimingClass) int { return act.RCD }},
+	{"tRCD", CmdACT, CmdWR, sameBank, func(_ *Timing, act TimingClass) int { return act.RCD }},
+	{"tRAS", CmdACT, CmdPRE, sameBank, func(_ *Timing, act TimingClass) int { return act.RAS }},
+	{"tRC", CmdACT, CmdACT, sameBank, minRC},
+	{"tRP", CmdPRE, CmdACT, sameBank, func(t *Timing, _ TimingClass) int { return t.RP }},
+	{"tRTP", CmdRD, CmdPRE, sameBank, func(t *Timing, _ TimingClass) int { return t.RTP }},
+	{"tWR", CmdWR, CmdPRE, sameBank, func(t *Timing, _ TimingClass) int { return t.CWL + t.BL + t.WR }},
+	{"tRRD", CmdACT, CmdACT, sameRank, func(t *Timing, _ TimingClass) int { return t.RRD }},
+	{"tCCD", CmdRD, CmdRD, sameRank, func(t *Timing, _ TimingClass) int { return t.CCD }},
+	{"tCCD", CmdWR, CmdWR, sameRank, func(t *Timing, _ TimingClass) int { return t.CCD }},
+	{"tWTR", CmdWR, CmdRD, sameRank, func(t *Timing, _ TimingClass) int { return t.CWL + t.BL + t.WTR }},
+	{"tRTW", CmdRD, CmdWR, sameRank, func(t *Timing, _ TimingClass) int { return t.RTW }},
+	// Only NOPs may issue to a rank inside its tRFC window.
+	{"tRFC", CmdREF, anyKind, sameRank, func(t *Timing, _ TimingClass) int { return t.RFC }},
+	// REF activates rows internally: every bank must be past its
+	// precharge and previous activate windows, like an ACT would be.
+	{"tRP", CmdPRE, CmdREF, everyBank, func(t *Timing, _ TimingClass) int { return t.RP }},
+	{"tRC", CmdACT, CmdREF, everyBank, minRC},
+}
+
+// minRC returns the ACT-to-ACT minimum implied by an ACT of class act
+// under the spec's tRC policy.
+func minRC(t *Timing, act TimingClass) int {
+	if t.RCFromClass {
+		return min(act.RAS+t.RP, t.RC)
+	}
+	return t.RC
+}
+
 // NewChecker builds a checker for spec.
 func NewChecker(spec Spec) *Checker {
-	nb := spec.Geometry.Ranks * spec.Geometry.Banks
-	nr := spec.Geometry.Ranks
 	c := &Checker{
 		spec:    spec,
-		lastACT: negCycles(nb), lastRD: negCycles(nb), lastWR: negCycles(nb),
-		lastPRE: negCycles(nb),
-		openRow: make([]int, nb), isOpen: make([]bool, nb),
-		actRCD: make([]int, nb), actRAS: make([]int, nb),
-		rankACTs: make([][]Cycle, nr),
-		lastREF:  negCycles(nr), rankRD: negCycles(nr), rankWR: negCycles(nr),
+		banks:   make([]bankHistory, spec.Geometry.Ranks*spec.Geometry.Banks),
+		ranks:   make([]rankHistory, spec.Geometry.Ranks),
 		busFree: never, busRank: -1,
+	}
+	var last [numCommandKinds]Cycle
+	for k := range last {
+		last[k] = never
+	}
+	for i := range c.banks {
+		c.banks[i].last = last
+	}
+	for i := range c.ranks {
+		c.ranks[i] = rankHistory{last: last, acts: [4]Cycle{never, never, never, never}}
 	}
 	return c
 }
@@ -58,14 +121,6 @@ func NewChecker(spec Spec) *Checker {
 // never stands for "no such command yet": far enough in the past that
 // every gap measured from it passes.
 const never Cycle = -1 << 40
-
-func negCycles(n int) []Cycle {
-	s := make([]Cycle, n)
-	for i := range s {
-		s[i] = never
-	}
-	return s
-}
 
 // Violations returns the violations recorded so far.
 func (c *Checker) Violations() []string {
@@ -93,66 +148,64 @@ func (c *Checker) Observe(cmd Command, now Cycle) {
 // check calls report once for every DDR3 constraint that cmd at now
 // violates.
 func (c *Checker) check(cmd Command, now Cycle, report func(format string, args ...any)) {
-	t := c.spec.Timing
-	b := cmd.Rank*c.spec.Geometry.Banks + cmd.Bank
-	// Only NOPs may issue to a rank inside its tRFC window.
-	if gap := now - c.lastREF[cmd.Rank]; gap >= 0 && gap < Cycle(t.RFC) {
-		report("tRFC violated: %v %d after REF", cmd.Kind, gap)
-	}
+	t := &c.spec.Timing
+	rankBanks := c.banks[cmd.Rank*c.spec.Geometry.Banks : (cmd.Rank+1)*c.spec.Geometry.Banks]
+	rank := &c.ranks[cmd.Rank]
+	bank := &rankBanks[cmd.Bank]
+
+	// Bank state: ACT needs a closed bank, PRE and column commands an
+	// open one, REF every bank of the rank closed.
 	switch cmd.Kind {
 	case CmdACT:
-		if c.isOpen[b] {
-			report("ACT on open bank (row %d)", c.openRow[b])
+		if bank.open {
+			report("ACT on open bank (row %d)", bank.row)
 		}
-		if gap := now - c.lastACT[b]; gap < Cycle(c.minRC(b)) {
-			report("tRC violated: gap %d < %d", gap, c.minRC(b))
-		}
-		if gap := now - c.lastPRE[b]; gap < Cycle(t.RP) {
-			report("tRP violated: gap %d < %d", gap, t.RP)
-		}
-		for _, prev := range c.rankACTs[cmd.Rank] {
-			if gap := now - prev; gap >= 0 && gap < Cycle(t.RRD) {
-				report("tRRD violated: gap %d < %d", gap, t.RRD)
-			}
-		}
-		if n := len(c.rankACTs[cmd.Rank]); n >= 4 {
-			if gap := now - c.rankACTs[cmd.Rank][n-4]; gap < Cycle(t.FAW) {
-				report("tFAW violated: 5th ACT %d cycles after 4-back", gap)
-			}
-		}
-
-	case CmdRD, CmdWR:
-		if !c.isOpen[b] {
-			report("column command on closed bank")
+	case CmdPRE, CmdRD, CmdWR:
+		if !bank.open {
+			report("%v on closed bank", cmd.Kind)
 			return
 		}
-		if gap := now - c.lastACT[b]; gap < Cycle(c.actRCD[b]) {
-			report("tRCD violated: gap %d < %d", gap, c.actRCD[b])
-		}
-		var colGap Cycle
-		if cmd.Kind == CmdRD {
-			colGap = now - c.rankRD[cmd.Rank]
-		} else {
-			colGap = now - c.rankWR[cmd.Rank]
-		}
-		if colGap >= 0 && colGap < Cycle(t.CCD) {
-			report("tCCD violated: gap %d < %d", colGap, t.CCD)
-		}
-		start := now + Cycle(t.CL)
-		if cmd.Kind == CmdRD {
-			// Write-to-read: CWL + BL + WTR.
-			if gap := now - c.rankWR[cmd.Rank]; gap >= 0 && gap < Cycle(t.CWL+t.BL+t.WTR) {
-				report("tWTR violated: gap %d < %d", gap, t.CWL+t.BL+t.WTR)
-			}
-		} else {
-			start = now + Cycle(t.CWL)
-			// Read-to-write turnaround.
-			if gap := now - c.rankRD[cmd.Rank]; gap >= 0 && gap < Cycle(t.RTW) {
-				report("tRTW violated: gap %d < %d", gap, t.RTW)
+	case CmdREF:
+		for i := range rankBanks {
+			if rankBanks[i].open {
+				report("REF with bank %d open", i)
 			}
 		}
+	}
+
+	for i := range ddr3Rules {
+		r := &ddr3Rules[i]
+		if r.next != cmd.Kind && r.next != anyKind {
+			continue
+		}
+		scoped := rankBanks[cmd.Bank : cmd.Bank+1]
+		if r.scope == everyBank {
+			scoped = rankBanks
+		}
+		for _, h := range scoped {
+			last := h.last[r.prev]
+			if r.scope == sameRank {
+				last = rank.last[r.prev]
+			}
+			if since, gap := now-last, r.gap(t, h.class); since < Cycle(gap) {
+				report("%s violated: %d cycles after %v, needs %d", r.name, since, r.prev, gap)
+			}
+		}
+	}
+
+	switch cmd.Kind {
+	case CmdACT:
+		// At most four ACTs per rank in any tFAW window.
+		if since := now - rank.acts[0]; since < Cycle(t.FAW) {
+			report("tFAW violated: 5th ACT %d cycles after 4-back", since)
+		}
+	case CmdRD, CmdWR:
 		// The data burst may not overlap the previous one, and a burst
 		// from another rank waits tRTRS more for the bus to switch.
+		start := now + Cycle(t.CL)
+		if cmd.Kind == CmdWR {
+			start = now + Cycle(t.CWL)
+		}
 		if c.busRank >= 0 && c.busRank != cmd.Rank {
 			if free := c.busFree + Cycle(t.RTRS); start < free {
 				report("tRTRS violated: burst at %d, bus free at %d", start, free)
@@ -160,85 +213,29 @@ func (c *Checker) check(cmd Command, now Cycle, report func(format string, args 
 		} else if start < c.busFree {
 			report("data bus overlap: burst at %d, bus free at %d", start, c.busFree)
 		}
-
-	case CmdPRE:
-		if !c.isOpen[b] {
-			report("PRE on closed bank")
-			return
-		}
-		if gap := now - c.lastACT[b]; gap < Cycle(c.actRAS[b]) {
-			report("tRAS violated: gap %d < %d", gap, c.actRAS[b])
-		}
-		if gap := now - c.lastRD[b]; gap >= 0 && gap < Cycle(t.RTP) {
-			report("tRTP violated: gap %d < %d", gap, t.RTP)
-		}
-		if gap := now - c.lastWR[b]; gap >= 0 && gap < Cycle(t.CWL+t.BL+t.WR) {
-			report("tWR violated: gap %d < %d", gap, t.CWL+t.BL+t.WR)
-		}
-
-	case CmdREF:
-		// REF activates rows internally: every bank must be closed and
-		// past its precharge (tRP) and previous activate (tRC) windows,
-		// like an ACT would be.
-		for bank := 0; bank < c.spec.Geometry.Banks; bank++ {
-			i := cmd.Rank*c.spec.Geometry.Banks + bank
-			if c.isOpen[i] {
-				report("REF with bank %d open", bank)
-			}
-			if gap := now - c.lastPRE[i]; gap >= 0 && gap < Cycle(t.RP) {
-				report("REF %d cycles after PRE of bank %d", gap, bank)
-			}
-			if gap := now - c.lastACT[i]; gap < Cycle(c.minRC(i)) {
-				report("REF %d cycles after ACT of bank %d (tRC)", gap, bank)
-			}
-		}
 	}
 }
 
 // record applies an issued command to the history.
 func (c *Checker) record(cmd Command, now Cycle) {
-	t := c.spec.Timing
-	b := cmd.Rank*c.spec.Geometry.Banks + cmd.Bank
+	t := &c.spec.Timing
+	rank := &c.ranks[cmd.Rank]
+	rank.last[cmd.Kind] = now
+	if cmd.Kind == CmdREF {
+		return
+	}
+	bank := &c.banks[cmd.Rank*c.spec.Geometry.Banks+cmd.Bank]
+	bank.last[cmd.Kind] = now
 	switch cmd.Kind {
 	case CmdACT:
-		c.lastACT[b] = now
-		c.isOpen[b] = true
-		c.openRow[b] = cmd.Row
-		c.actRCD[b] = cmd.Class.RCD
-		c.actRAS[b] = cmd.Class.RAS
-		c.rankACTs[cmd.Rank] = append(c.rankACTs[cmd.Rank], now)
-		if len(c.rankACTs[cmd.Rank]) > 8 {
-			c.rankACTs[cmd.Rank] = c.rankACTs[cmd.Rank][1:]
-		}
+		bank.open, bank.row, bank.class = true, cmd.Row, cmd.Class
+		copy(rank.acts[:], rank.acts[1:])
+		rank.acts[3] = now
+	case CmdPRE:
+		bank.open = false
 	case CmdRD:
-		c.rankRD[cmd.Rank] = now
-		c.lastRD[b] = now
 		c.busFree, c.busRank = now+Cycle(t.CL+t.BL), cmd.Rank
 	case CmdWR:
-		c.rankWR[cmd.Rank] = now
-		c.lastWR[b] = now
 		c.busFree, c.busRank = now+Cycle(t.CWL+t.BL), cmd.Rank
-	case CmdPRE:
-		c.lastPRE[b] = now
-		c.isOpen[b] = false
-	case CmdREF:
-		c.lastREF[cmd.Rank] = now
 	}
-}
-
-// minRC returns the ACT-to-ACT minimum implied by the previous ACT's
-// class under the spec's tRC policy.
-func (c *Checker) minRC(b int) int {
-	t := c.spec.Timing
-	if c.actRAS[b] == 0 {
-		return 0 // no previous ACT
-	}
-	if t.RCFromClass {
-		rc := c.actRAS[b] + t.RP
-		if rc > t.RC {
-			rc = t.RC
-		}
-		return rc
-	}
-	return t.RC
 }

@@ -24,6 +24,8 @@ func TestCheckerAcceptsLegalSequence(t *testing.T) {
 	}
 }
 
+// TestCheckerFlagsViolations covers the bank-state rules; the timing
+// constraints are pinned by TestCheckerRuleBoundaries.
 func TestCheckerFlagsViolations(t *testing.T) {
 	spec := twoRankSpec()
 	tm := spec.Timing
@@ -33,59 +35,10 @@ func TestCheckerFlagsViolations(t *testing.T) {
 		feed func(c *Checker)
 		want string
 	}{
-		{"early RD", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Read(0, 0, 0), Cycle(tm.RCD-1))
-		}, "tRCD"},
-		{"early PRE", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Pre(0, 0), Cycle(tm.RAS-1))
-		}, "tRAS"},
-		{"early reACT", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Pre(0, 0), Cycle(tm.RAS))
-			c.Observe(Act(0, 0, 2, cls), Cycle(tm.RC-1))
-		}, "tR"}, // tRC or tRP, both under tR
-		{"RRD", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Act(0, 1, 1, cls), Cycle(tm.RRD-1))
-		}, "tRRD"},
-		{"FAW", func(c *Checker) {
-			at := Cycle(0)
-			for b := 0; b < 4; b++ {
-				c.Observe(Act(0, b, 1, cls), at)
-				at += Cycle(tm.RRD)
-			}
-			c.Observe(Act(0, 4, 1, cls), Cycle(tm.FAW-1))
-		}, "tFAW"},
-		{"CCD", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Read(0, 0, 0), Cycle(tm.RCD))
-			c.Observe(Read(0, 0, 1), Cycle(tm.RCD+tm.CCD-1))
-		}, "tCCD"},
-		{"WTR", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Write(0, 0, 0), Cycle(tm.RCD))
-			c.Observe(Read(0, 0, 1), Cycle(tm.RCD+tm.CWL+tm.BL+tm.WTR-1))
-		}, "tWTR"},
-		{"write recovery", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Write(0, 0, 0), Cycle(tm.RCD))
-			c.Observe(Pre(0, 0), Cycle(tm.RCD+tm.CWL+tm.BL+tm.WR-1))
-		}, "tWR"},
-		{"RTP", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Read(0, 0, 0), Cycle(tm.RAS))
-			c.Observe(Pre(0, 0), Cycle(tm.RAS+tm.RTP-1))
-		}, "tRTP"},
 		{"REF with open bank", func(c *Checker) {
 			c.Observe(Act(0, 0, 1, cls), 0)
 			c.Observe(Refresh(0), Cycle(tm.RAS+tm.RP))
 		}, "open"},
-		{"ACT during RFC", func(c *Checker) {
-			c.Observe(Refresh(0), 0)
-			c.Observe(Act(0, 0, 1, cls), Cycle(tm.RFC-1))
-		}, "tRFC"},
 		{"column on closed bank", func(c *Checker) {
 			c.Observe(Read(0, 0, 0), 10)
 		}, "closed"},
@@ -96,20 +49,6 @@ func TestCheckerFlagsViolations(t *testing.T) {
 		{"PRE on closed bank", func(c *Checker) {
 			c.Observe(Pre(0, 0), 10)
 		}, "closed"},
-		{"cross-rank RD inside BL+tRTRS", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Act(1, 0, 1, cls), 1)
-			c.Observe(Read(0, 0, 0), Cycle(tm.RCD))
-			c.Observe(Read(1, 0, 0), Cycle(tm.RCD+tm.BL+tm.RTRS-1))
-		}, "tRTRS"},
-		{"cross-rank WR after RD inside BL+tRTRS", func(c *Checker) {
-			c.Observe(Act(0, 0, 1, cls), 0)
-			c.Observe(Act(1, 0, 1, cls), 1)
-			c.Observe(Read(0, 0, 0), Cycle(tm.RCD))
-			// The write burst starts CWL after the command; the read's
-			// ends CL+BL after its own.
-			c.Observe(Write(1, 0, 0), Cycle(tm.RCD+tm.CL+tm.BL+tm.RTRS-tm.CWL-1))
-		}, "tRTRS"},
 	}
 	for _, tc := range cases {
 		chk := NewChecker(spec)
@@ -218,5 +157,100 @@ func TestChannelNeverViolatesChecker(t *testing.T) {
 	}
 	if v := chk.Violations(); len(v) != 0 {
 		t.Errorf("checker found %d violations, first: %s", len(v), v[0])
+	}
+}
+
+// TestCheckerRuleBoundaries pins every DDR3 timing constraint the
+// Checker enforces at its exact boundary: the later command, issued one
+// cycle before the gap has elapsed since the earlier one, is flagged
+// under the constraint's name; issued exactly at the gap, it is legal.
+// The constraints and their gaps are listed here from the datasheet
+// definitions in Timing, independently of the Checker's rule table, and
+// each case isolates its constraint so no other one binds at the gap.
+func TestCheckerRuleBoundaries(t *testing.T) {
+	type timed struct {
+		cmd Command
+		at  Cycle
+	}
+	for _, rcFromClass := range []bool{true, false} {
+		spec := twoRankSpec()
+		spec.Timing.RCFromClass = rcFromClass
+		tm := spec.Timing
+		cls := tm.DefaultClass()
+		fast := TimingClass{RCD: tm.RCD - 4, RAS: tm.RAS - 8}
+		// An ACT of the fast class holds its bank (and REF) for tRC,
+		// or, under the derived policy, only for its own tRAS + tRP.
+		fastRC := tm.RC
+		if rcFromClass {
+			fastRC = min(tm.RC, fast.RAS+tm.RP)
+		}
+		late := Cycle(tm.RC + 10) // every same-bank window of an ACT at 0 has passed
+		cases := []struct {
+			name   string
+			before []timed // observed in order; the last is the constraint's earlier command
+			from   Cycle   // issue cycle the gap is measured from
+			gap    int
+			next   Command
+		}{
+			{"tRCD", []timed{{Act(0, 0, 1, cls), 0}}, 0, tm.RCD, Read(0, 0, 0)},
+			{"tRCD", []timed{{Act(0, 0, 1, cls), 0}}, 0, tm.RCD, Write(0, 0, 0)},
+			{"tRCD", []timed{{Act(0, 0, 1, fast), 0}}, 0, fast.RCD, Read(0, 0, 0)},
+			{"tRAS", []timed{{Act(0, 0, 1, cls), 0}}, 0, tm.RAS, Pre(0, 0)},
+			{"tRAS", []timed{{Act(0, 0, 1, fast), 0}}, 0, fast.RAS, Pre(0, 0)},
+			{"tRC", []timed{{Act(0, 0, 1, fast), 0}, {Pre(0, 0), Cycle(fast.RAS)}}, 0, fastRC, Act(0, 0, 2, cls)},
+			{"tRP", []timed{{Act(0, 0, 1, cls), 0}, {Pre(0, 0), late}}, late, tm.RP, Act(0, 0, 2, cls)},
+			{"tRTP", []timed{{Act(0, 0, 1, cls), 0}, {Read(0, 0, 0), late}}, late, tm.RTP, Pre(0, 0)},
+			{"tWR", []timed{{Act(0, 0, 1, cls), 0}, {Write(0, 0, 0), late}}, late, tm.CWL + tm.BL + tm.WR, Pre(0, 0)},
+			{"tRRD", []timed{{Act(0, 0, 1, cls), 0}}, 0, tm.RRD, Act(0, 1, 1, cls)},
+			{"tFAW", []timed{{Act(0, 0, 1, cls), 0}, {Act(0, 1, 1, cls), Cycle(tm.RRD)},
+				{Act(0, 2, 1, cls), Cycle(2 * tm.RRD)}, {Act(0, 3, 1, cls), Cycle(3 * tm.RRD)}}, 0, tm.FAW, Act(0, 4, 1, cls)},
+			{"tCCD", []timed{{Act(0, 0, 1, cls), 0}, {Act(0, 1, 1, cls), late}, {Read(0, 0, 0), late + Cycle(tm.RCD)}},
+				late + Cycle(tm.RCD), tm.CCD, Read(0, 1, 0)},
+			{"tCCD", []timed{{Act(0, 0, 1, cls), 0}, {Act(0, 1, 1, cls), late}, {Write(0, 0, 0), late + Cycle(tm.RCD)}},
+				late + Cycle(tm.RCD), tm.CCD, Write(0, 1, 0)},
+			{"tWTR", []timed{{Act(0, 0, 1, cls), 0}, {Write(0, 0, 0), late}}, late, tm.CWL + tm.BL + tm.WTR, Read(0, 0, 1)},
+			{"tRTW", []timed{{Act(0, 0, 1, cls), 0}, {Read(0, 0, 0), late}}, late, tm.RTW, Write(0, 0, 1)},
+			{"tRFC", []timed{{Refresh(0), 0}}, 0, tm.RFC, Act(0, 0, 1, cls)},
+			{"tRFC", []timed{{Refresh(0), 0}}, 0, tm.RFC, Refresh(0)},
+			// REF waits for every bank, not only bank 0.
+			{"tRP", []timed{{Act(0, 3, 1, cls), 0}, {Pre(0, 3), late}}, late, tm.RP, Refresh(0)},
+			{"tRC", []timed{{Act(0, 3, 1, fast), 0}, {Pre(0, 3), Cycle(fast.RAS)}}, 0, fastRC, Refresh(0)},
+			// The data bus: one burst (BL) per rank, plus tRTRS to
+			// switch ranks; a read burst starts CL after its command.
+			{"data bus overlap", []timed{{Act(0, 0, 1, cls), 0}, {Act(0, 1, 1, cls), late}, {Read(0, 0, 0), late + Cycle(tm.RCD)}},
+				late + Cycle(tm.RCD), tm.BL, Read(0, 1, 0)},
+			{"tRTRS", []timed{{Act(0, 0, 1, cls), 0}, {Act(1, 0, 1, cls), 0}, {Read(0, 0, 0), late}},
+				late, tm.BL + tm.RTRS, Read(1, 0, 0)},
+			// A write burst starts CWL after its command.
+			{"tRTRS", []timed{{Act(0, 0, 1, cls), 0}, {Act(1, 0, 1, cls), 0}, {Read(0, 0, 0), late}},
+				late, tm.CL + tm.BL + tm.RTRS - tm.CWL, Write(1, 0, 0)},
+		}
+		for _, tc := range cases {
+			for _, delta := range []Cycle{-1, 0} {
+				chk := NewChecker(spec)
+				for _, c := range tc.before {
+					chk.Observe(c.cmd, c.at)
+				}
+				if v := chk.Violations(); len(v) != 0 {
+					t.Fatalf("rcFromClass=%v %s: setup flagged: %v", rcFromClass, tc.name, v)
+				}
+				at := tc.from + Cycle(tc.gap) + delta
+				legal := chk.Legal(tc.next, at)
+				chk.Observe(tc.next, at)
+				flagged := false
+				for _, msg := range chk.Violations() {
+					flagged = flagged || strings.Contains(msg, ": "+tc.name+" violated") ||
+						strings.Contains(msg, ": "+tc.name+":")
+				}
+				switch {
+				case delta < 0 && !flagged:
+					t.Errorf("rcFromClass=%v %s: %v at gap-1 (cycle %d) not flagged under %s: %v",
+						rcFromClass, tc.name, tc.next, at, tc.name, chk.Violations())
+				case delta == 0 && !legal:
+					t.Errorf("rcFromClass=%v %s: %v at exactly the gap (cycle %d) flagged: %v",
+						rcFromClass, tc.name, tc.next, at, chk.Violations())
+				}
+			}
+		}
 	}
 }

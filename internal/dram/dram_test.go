@@ -320,11 +320,20 @@ func TestRefreshRequiresAllBanksPrecharged(t *testing.T) {
 	if !ch.CanIssue(act, preDone+Cycle(tm.RFC)) {
 		t.Error("ACT not issuable after tRFC")
 	}
-	if !ch.Refreshing(0, preDone+1) {
-		t.Error("Refreshing() false during tRFC")
+	// The tRFC window holds every bank's ACT and the next REF, and ends
+	// exactly tRFC after the REF.
+	end := preDone + Cycle(tm.RFC)
+	for b := 0; b < ch.Spec().Geometry.Banks; b++ {
+		if got := ch.ActIssueAt(0, b); got != end {
+			t.Errorf("ActIssueAt(0, %d) = %d during tRFC, want %d", b, got, end)
+		}
 	}
-	if ch.Refreshing(0, preDone+Cycle(tm.RFC)) {
-		t.Error("Refreshing() true after tRFC")
+	if got := ch.RefIssueAt(0); got != end {
+		t.Errorf("RefIssueAt = %d during tRFC, want %d", got, end)
+	}
+	if ch.CanIssue(ref, end-1) || !ch.CanIssue(ref, end) {
+		t.Errorf("REF legal at %d: %v, at %d: %v; want false, true",
+			end-1, ch.CanIssue(ref, end-1), end, ch.CanIssue(ref, end))
 	}
 }
 
@@ -449,12 +458,6 @@ func TestCommandStrings(t *testing.T) {
 	}
 	if CmdACT.String() != "ACT" || CommandKind(200).String() == "" {
 		t.Error("CommandKind.String misbehaves")
-	}
-}
-
-func TestBankStateString(t *testing.T) {
-	if BankPrecharged.String() != "precharged" || BankActive.String() != "active" {
-		t.Error("BankState.String misbehaves")
 	}
 }
 

@@ -19,15 +19,16 @@ const NoEvent Cycle = 1 << 56
 // bound (refresh folded in), and the data-bus release (with tRTRS if the
 // bus last served another rank).
 func (c *Channel) ColumnIssueAt(rankID, bankID int, isRead bool) Cycle {
+	t := &c.spec.Timing
 	r := &c.ranks[rankID]
 	free := c.dataBusFree
 	if c.dataBusRank >= 0 && c.dataBusRank != rankID {
-		free += c.tt.rtrs
+		free += Cycle(t.RTRS)
 	}
 	if isRead {
-		return maxCycle(r.banks[bankID].nextRD, maxCycle(r.nextRD, free-c.tt.cl))
+		return maxCycle(r.banks[bankID].nextRD, maxCycle(r.nextRD, free-Cycle(t.CL)))
 	}
-	return maxCycle(r.banks[bankID].nextWR, maxCycle(r.nextWR, free-c.tt.cwl))
+	return maxCycle(r.banks[bankID].nextWR, maxCycle(r.nextWR, free-Cycle(t.CWL)))
 }
 
 // ActIssueAt returns the exact earliest cycle an ACT to (rank, bank)

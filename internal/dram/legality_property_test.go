@@ -10,8 +10,9 @@ import (
 // constraints excluded, EarliestActivate's contract) from the Checker's
 // command history.
 func checkerEarliestActivate(chk *Checker, rank, bank int) Cycle {
-	b := rank*chk.spec.Geometry.Banks + bank
-	return max(0, chk.lastACT[b]+Cycle(chk.minRC(b)), chk.lastPRE[b]+Cycle(chk.spec.Timing.RP))
+	t := &chk.spec.Timing
+	h := &chk.banks[rank*chk.spec.Geometry.Banks+bank]
+	return max(0, h.last[CmdACT]+Cycle(minRC(t, h.class)), h.last[CmdPRE]+Cycle(t.RP))
 }
 
 // TestLegalityMatchesChecker drives a two-rank channel with seeded random

@@ -35,7 +35,7 @@ func (c *Channel) observe(cmd Command, now Cycle) {
 				stall = head - r.banks[cmd.Bank].nextACT
 			}
 		}
-		fast = Cycle(cmd.Class.RCD) < c.tt.rcd || Cycle(cmd.Class.RAS) < c.tt.ras
+		fast = cmd.Class.Lowers(c.spec.Timing.DefaultClass())
 	}
 	c.probe.ObserveCommand(cmd, now, stall, fast)
 }

@@ -1,8 +1,9 @@
 package dram
 
 // rank tracks the rank-level DDR3 constraints with one next-allowed
-// register per command kind, each folded to the exact legality flip so
-// every rank check is a single comparison:
+// register per command kind, advanced from the spec's Timing and each
+// folded to the exact legality flip so every rank check is a single
+// comparison:
 //
 //	nextACT  ACT -> ACT across banks: tRRD spacing, the tFAW sliding
 //	         window head (folded in whenever the window is full), and
@@ -71,8 +72,6 @@ func (r *rank) accountTo(now Cycle) {
 	r.lastEdge = now
 }
 
-func (r *rank) refreshing(now Cycle) bool { return now < r.refreshUntil }
-
 // noteBankACT folds a bank's advanced nextACT register into the running
 // rank maximum. Call after every bank nextACT update (ACT and PRE).
 func (r *rank) noteBankACT(at Cycle) {
@@ -81,16 +80,16 @@ func (r *rank) noteBankACT(at Cycle) {
 	}
 }
 
-func (r *rank) applyACT(now Cycle, tt *timingTable) {
-	r.nextACT = maxCycle(r.nextACT, now+tt.rrd)
+func (r *rank) applyACT(now Cycle, t *Timing) {
+	r.nextACT = maxCycle(r.nextACT, now+Cycle(t.RRD))
 	// Slide the tFAW window; once it is full, the oldest entry's expiry
 	// bounds the next ACT and is folded straight into nextACT, so the
 	// register is the exact legality flip.
 	if r.actWindowLen == 4 {
 		copy(r.actWindow[:], r.actWindow[1:])
-		r.actWindow[3] = now + tt.faw
+		r.actWindow[3] = now + Cycle(t.FAW)
 	} else {
-		r.actWindow[r.actWindowLen] = now + tt.faw
+		r.actWindow[r.actWindowLen] = now + Cycle(t.FAW)
 		r.actWindowLen++
 	}
 	if r.actWindowLen == 4 {
@@ -98,18 +97,18 @@ func (r *rank) applyACT(now Cycle, tt *timingTable) {
 	}
 }
 
-func (r *rank) applyRD(now Cycle, tt *timingTable) {
-	r.nextRD = maxCycle(r.nextRD, now+tt.ccd)
-	r.nextWR = maxCycle(r.nextWR, now+tt.rtw)
+func (r *rank) applyRD(now Cycle, t *Timing) {
+	r.nextRD = maxCycle(r.nextRD, now+Cycle(t.CCD))
+	r.nextWR = maxCycle(r.nextWR, now+Cycle(t.RTW))
 }
 
-func (r *rank) applyWR(now Cycle, tt *timingTable) {
-	r.nextWR = maxCycle(r.nextWR, now+tt.ccd)
-	r.nextRD = maxCycle(r.nextRD, now+tt.wrToRd)
+func (r *rank) applyWR(now Cycle, t *Timing) {
+	r.nextWR = maxCycle(r.nextWR, now+Cycle(t.CCD))
+	r.nextRD = maxCycle(r.nextRD, now+Cycle(t.CWL+t.BL+t.WTR))
 }
 
-func (r *rank) applyREF(now Cycle, tt *timingTable) {
-	r.refreshUntil = now + tt.rfc
+func (r *rank) applyREF(now Cycle, t *Timing) {
+	r.refreshUntil = now + Cycle(t.RFC)
 	r.nextACT = maxCycle(r.nextACT, r.refreshUntil)
 	r.nextRD = maxCycle(r.nextRD, r.refreshUntil)
 	r.nextWR = maxCycle(r.nextWR, r.refreshUntil)

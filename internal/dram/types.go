@@ -157,6 +157,10 @@ type TimingClass struct {
 // DefaultClass returns the specification timing class.
 func (t Timing) DefaultClass() TimingClass { return TimingClass{RCD: t.RCD, RAS: t.RAS} }
 
+// Lowers reports whether c shortens tRCD or tRAS below def: the one
+// definition of a lowered (fast) activation.
+func (c TimingClass) Lowers(def TimingClass) bool { return c.RCD < def.RCD || c.RAS < def.RAS }
+
 // Spec bundles geometry and timing with the clock.
 type Spec struct {
 	Geometry Geometry

@@ -757,7 +757,7 @@ func (c *Controller) issueActivate(req *Request, now dram.Cycle) {
 	key := core.MakeRowKey(req.Coord.Rank, req.Coord.Bank, req.Coord.Row)
 	age := c.refresh[req.Coord.Rank].ageOf(req.Coord.Row, now)
 	class := c.cfg.Mechanism.OnActivate(key, now, age)
-	fast := class.RCD < c.cfg.Spec.Timing.RCD || class.RAS < c.cfg.Spec.Timing.RAS
+	fast := class.Lowers(c.cfg.Spec.Timing.DefaultClass())
 	c.ch.Issue(dram.Act(req.Coord.Rank, req.Coord.Bank, req.Coord.Row, class), now)
 	c.stats.Activations++
 	if fast {

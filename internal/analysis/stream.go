@@ -117,7 +117,7 @@ func (c *Collector) flush() {
 type bankKey struct{ rank, bank int }
 
 // StreamAccumulator folds stream batches last-write-wins, mirroring
-// what a live dashboard or the daemon's stream broker keeps per job.
+// what a live dashboard or the daemon's analysis stream keeps per flight.
 // The zero value is not usable; see NewStreamAccumulator.
 type StreamAccumulator struct {
 	channels map[int]*channelAcc

@@ -288,9 +288,12 @@ func (c *Core) popSlot() {
 // The event-driven engine (internal/sim) advances simulated time in
 // jumps. SkipBudget reports how far the core can jump, and AdvanceIdle /
 // RunAhead apply a jump with state and counters bit-identical to the
-// same number of Tick calls. A caller of these three bounds each jump
-// by the next load data return; the lazy clock below (Wake) lets a data
-// return land inside a skipped gap instead.
+// same number of Tick calls. The engine reaches these three only
+// through the lazy clock below (Wake, Step, Settle): plan asks
+// SkipBudget for the next gap, and Settle applies it once something
+// touches the core. No caller bounds a jump by the next load data
+// return: a data return landing inside a skipped gap settles the gap
+// through its own cycle, then plans again.
 
 // SkipBudget classifies the core's next-cycle behaviour for the
 // event-driven engine.

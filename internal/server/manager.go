@@ -1,7 +1,8 @@
 // Package server turns the simulator into a long-running network
 // service: a job manager layered on the internal/sweep engine, HTTP
 // handlers exposing it as a JSON API (see server.go), Server-Sent
-// Events streaming per-job progress (sse.go), and operational metrics
+// Events streaming each job's lifecycle and live analysis through one
+// sequenced feed type (sse.go, stream.go), and operational metrics
 // (metrics.go).
 //
 // The manager's core guarantees:
@@ -21,7 +22,8 @@
 //     per-tenant queue/concurrency quotas; without one the manager
 //     degenerates to the original single-FIFO behavior exactly,
 //   - one visibility rule: every job operation (Submit, Job, ListJobs,
-//     Cancel, Subscribe, SubscribeAnalysis, Analysis) takes the caller,
+//     Cancel, Analysis, and the eventFeed/analysisFeed lookups behind
+//     the two SSE streams) takes the caller,
 //     and canSee decides for live and journaled jobs alike — open mode,
 //     gateways, the owner, and anyone for an owner-less job may see it;
 //     to everyone else it is ErrUnknownJob, the same answer as an ID
@@ -147,9 +149,8 @@ type job struct {
 	elapsed     time.Duration
 	result      *sim.Result
 
-	events  []jobEvent // status history, the SSE resume source
-	subs    map[int]chan jobEvent
-	nextSub int
+	events []jobEvent      // status history, the lifecycle feed's catch-up
+	feed   *feed[jobEvent] // allocated by the first subscriber (sse.go)
 }
 
 // flight is one physical simulation execution. Concurrent submissions
@@ -178,7 +179,7 @@ type flight struct {
 	// stream, set when the config enables analysis, fans the flight's
 	// live epoch batches out to SSE subscribers and retains the final
 	// report for late ones.
-	stream *analysisBroker
+	stream *analysisStream
 }
 
 // NoLocalWorkers as ManagerConfig.Workers makes the manager a pure
@@ -296,12 +297,7 @@ type Manager struct {
 // tenantCounters is one tenant's share of the job counters, the
 // per-tenant block of /metrics. Guarded by Manager.mu.
 type tenantCounters struct {
-	submitted     uint64
-	completed     uint64
-	failed        uint64
-	canceled      uint64
-	deduped       uint64
-	cacheHits     uint64
+	jobCounts
 	preempted     uint64 // queued jobs canceled by higher-priority submissions
 	quotaRejected uint64 // submissions rejected by MaxQueued/MaxConcurrent quotas
 }
@@ -315,6 +311,16 @@ func (m *Manager) tenantCountersLocked(name string) *tenantCounters {
 		m.tstats[name] = tc
 	}
 	return tc
+}
+
+// countJobLocked applies bump to the fleet-wide job counters and to
+// tenant's share of them (anonymous jobs, tenant "", have none). Caller
+// holds m.mu.
+func (m *Manager) countJobLocked(tenant string, bump func(*jobCounts)) {
+	bump(&m.counters.jobCounts)
+	if tenant != "" {
+		bump(&m.tenantCountersLocked(tenant).jobCounts)
+	}
 }
 
 // NewManager starts one worker goroutine per fleet slot — cfg.Workers
@@ -618,16 +624,10 @@ func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 			key:         plans[i].key,
 			deadline:    deadlines[i],
 			submittedAt: now,
-			subs:        map[int]chan jobEvent{},
 		}
 		m.jobs[j.id] = j
 		m.order = append(m.order, j.id)
-		m.counters.submitted++
-		var tc *tenantCounters
-		if owner.Name != "" {
-			tc = m.tenantCountersLocked(owner.Name)
-			tc.submitted++
-		}
+		m.countJobLocked(owner.Name, func(c *jobCounts) { c.submitted++ })
 
 		switch {
 		case plans[i].cached != nil:
@@ -635,12 +635,7 @@ func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 			j.cached = true
 			j.finishedAt = now
 			j.result = plans[i].cached
-			m.counters.completed++
-			m.counters.cacheHits++
-			if tc != nil {
-				tc.completed++
-				tc.cacheHits++
-			}
+			m.countJobLocked(owner.Name, func(c *jobCounts) { c.completed++; c.cacheHits++ })
 			// The "cache" slot counts service, not production: the report
 			// was accumulated when the producing flight finished, so no
 			// analysis accumulate here.
@@ -674,7 +669,7 @@ func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 				priority: owner.Priority,
 			}
 			if ac := spec.Config.Analysis; ac != nil && ac.Enabled {
-				f.stream = newAnalysisBroker()
+				f.stream = newAnalysisStream()
 			}
 			j.state = StateQueued
 			j.flight = f
@@ -687,7 +682,7 @@ func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 		}
 		// Seed the event history with the submission snapshot, so SSE
 		// subscribers can replay the full lifecycle from sequence 1.
-		m.recordEventLocked(j, m.statusLocked(j, j.state.Terminal()))
+		m.notifyLocked(j)
 		statuses[i] = m.statusLocked(j, true)
 	}
 	m.pruneLocked()
@@ -707,10 +702,7 @@ func (m *Manager) attachLocked(j *job, f *flight, owner Tenant) {
 		j.startedAt = time.Now()
 	}
 	f.jobs = append(f.jobs, j)
-	m.counters.deduped++
-	if owner.Name != "" {
-		m.tenantCountersLocked(owner.Name).deduped++
-	}
+	m.countJobLocked(owner.Name, func(c *jobCounts) { c.deduped++ })
 	if owner.Priority > f.priority {
 		f.priority = owner.Priority
 	}
@@ -798,10 +790,7 @@ func (m *Manager) cancelJobLocked(j *job, reason string) {
 	j.state = StateCanceled
 	j.err = errors.New(reason)
 	j.finishedAt = time.Now()
-	m.counters.canceled++
-	if j.tenant != "" {
-		m.tenantCountersLocked(j.tenant).canceled++
-	}
+	m.countJobLocked(j.tenant, func(c *jobCounts) { c.canceled++ })
 	m.notifyLocked(j)
 	m.dropAbandonedLocked(j.flight)
 }
@@ -908,10 +897,7 @@ func (m *Manager) failJobLocked(j *job, err error, reason, worker string, elapse
 	j.reason = reason
 	j.finishedAt = time.Now()
 	j.elapsed = elapsed
-	m.counters.failed++
-	if j.tenant != "" {
-		m.tenantCountersLocked(j.tenant).failed++
-	}
+	m.countJobLocked(j.tenant, func(c *jobCounts) { c.failed++ })
 	m.notifyLocked(j)
 	return journalEntry{
 		ID: j.id, Key: j.key, Label: j.label, Tenant: j.tenant,
@@ -1123,6 +1109,7 @@ func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed
 	default:
 		switch {
 		case cached:
+			// A flight-level resolution: global only, no owner share.
 			m.counters.cacheHits++
 		case remote:
 			m.counters.remoteSims++
@@ -1158,10 +1145,7 @@ func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed
 			j.finishedAt = done
 			j.elapsed = elapsed
 			j.result = &res
-			m.counters.completed++
-			if j.tenant != "" {
-				m.tenantCountersLocked(j.tenant).completed++
-			}
+			m.countJobLocked(j.tenant, func(c *jobCounts) { c.completed++ })
 			m.notifyLocked(j)
 			recs = append(recs, journalEntry{
 				ID: j.id, Key: j.key, Label: j.label, Tenant: j.tenant,
@@ -1171,8 +1155,8 @@ func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed
 	}
 	m.pruneLocked()
 	m.mu.Unlock()
-	// Broker seal and journal write happen outside m.mu: finish closes
-	// subscriber channels (its own lock) and record does file I/O.
+	// Stream seal and journal write happen outside m.mu: finish closes
+	// subscriber channels (the feed's lock) and record does file I/O.
 	if f.stream != nil {
 		f.stream.finish(res.Analysis, err)
 	}

@@ -376,8 +376,8 @@ func TestTenantVisibility(t *testing.T) {
 	if _, err := m.Analysis(b, aj[0].ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("cross-tenant Analysis = %v, want ErrUnknownJob", err)
 	}
-	if _, _, _, err := m.Subscribe(b, aj[0].ID, 0); !errors.Is(err, ErrUnknownJob) {
-		t.Fatalf("cross-tenant Subscribe = %v, want ErrUnknownJob", err)
+	if _, err := m.eventFeed(b, aj[0].ID); !errors.Is(err, ErrUnknownJob) {
+		t.Fatalf("cross-tenant eventFeed = %v, want ErrUnknownJob", err)
 	}
 
 	// Listings are filtered per caller; the gateway sees all.

@@ -10,12 +10,10 @@ import (
 // counters aggregates the manager's operational numbers. All fields
 // are guarded by Manager.mu.
 type counters struct {
-	submitted   uint64
-	completed   uint64
-	failed      uint64
-	canceled    uint64
-	deduped     uint64 // jobs attached to an in-flight identical config
-	cacheHits   uint64 // jobs/flights served from the persistent cache
+	// jobCounts totals every tenant's share. Its cacheHits also counts
+	// flights served from a cache (finishFlight): cache_hit_rate counts
+	// resolutions, so that bump has no owner share.
+	jobCounts
 	simulations uint64 // fresh simulations executed on this machine
 	remoteSims  uint64 // flights executed on peer daemons (-peers)
 	running     int    // flights currently simulating
@@ -37,6 +35,17 @@ type counters struct {
 	// name. Phase attribution aggregates the sampled PhaseProfile of
 	// every report the worker produced.
 	perWorker map[string]*workerStats
+}
+
+// jobCounts is one block of job lifecycle counters, kept fleet-wide
+// (counters) and per tenant (tenantCounters); countJobLocked bumps both.
+type jobCounts struct {
+	submitted uint64
+	completed uint64
+	failed    uint64
+	canceled  uint64
+	deduped   uint64 // jobs attached to an in-flight identical config
+	cacheHits uint64 // jobs served from the persistent cache
 }
 
 // workerStats is one execution slot's share of the fleet aggregates.

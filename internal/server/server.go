@@ -19,7 +19,8 @@ import (
 //	POST   /v1/jobs            submit one config or a batch -> job IDs
 //	GET    /v1/jobs            list all jobs (no result payloads)
 //	GET    /v1/jobs/{id}       status + result when done
-//	GET    /v1/jobs/{id}/events  Server-Sent Events progress stream
+//	GET    /v1/jobs/{id}/events  Server-Sent Events lifecycle stream
+//	                           (Last-Event-ID resume)
 //	DELETE /v1/jobs/{id}       cancel
 //	GET    /v1/results         list stored content-address keys
 //	GET    /v1/results/{key}   content-addressed result lookup
@@ -35,6 +36,9 @@ import (
 //	                           perf-analyzer aggregates
 //	GET    /dashboard          embedded live HTML dashboard (campaign
 //	                           progress, throughput, row-hit sparklines)
+//
+// Both SSE routes serve a job-scoped feed (sse.go) through one loop,
+// serveSSE, with one resume and lag rule.
 type Server struct {
 	manager *Manager
 	mux     *http.ServeMux
@@ -52,12 +56,12 @@ func New(m *Manager) *Server {
 	s.mux.HandleFunc("GET /v1/jobs", s.authed(s.handleListJobs))
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.authed(s.handleJob))
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.authed(s.handleCancel))
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.authed(s.handleJobEvents))
+	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.authed(serveSSE(s.manager.eventFeed, statusFrame)))
 	s.mux.HandleFunc("GET /v1/results", s.authed(s.handleResultIndex))
 	s.mux.HandleFunc("GET /v1/results/{key}", s.authed(s.handleResult))
 	s.mux.HandleFunc("GET /v1/analysis/{id}", s.authed(s.handleAnalysis))
 	s.mux.HandleFunc("GET /analysis/{id}", s.authed(s.handleAnalysis))
-	s.mux.HandleFunc("GET /v1/analysis/{id}/stream", s.authed(s.handleAnalysisStream))
+	s.mux.HandleFunc("GET /v1/analysis/{id}/stream", s.authed(serveSSE(s.manager.analysisFeed, batchFrame)))
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)

@@ -5,169 +5,270 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"sync"
 )
 
-// jobEvent is one entry of a job's event history: a status snapshot
-// plus the sequence number SSE clients use as the Last-Event-ID resume
-// cursor. Sequences start at 1 with the submission snapshot and
-// increase by 1 per transition, so a reconnecting client replays
-// exactly the events it missed — no gaps, no duplicates.
+// feed is the one fan-out behind the daemon's job-scoped SSE streams,
+// the job lifecycle (/v1/jobs/{id}/events) and the live analysis
+// (/v1/analysis/{id}/stream). Events are numbered 1, 2, 3, ... by
+// publish; the number is the SSE id a client echoes back as
+// Last-Event-ID to resume.
+//
+// The owner keeps what a late or resuming subscriber needs and hands it
+// out through catchUp: the job's status history, or the analysis
+// accumulator's snapshot (the final report's deltas once sealed). A
+// subscriber gets that catch-up and a live channel atomically, so
+// between the two it sees every event once.
+//
+// One lag rule: publish never blocks. A subscriber whose buffer is full
+// is cut off (its channel closed) instead of being handed a gap, and
+// resubscribes from its cursor; the catch-up then covers everything it
+// missed.
+type feed[T any] struct {
+	depth int // each subscriber's channel buffer
+	// catchUp returns what a subscriber whose cursor is after must
+	// receive before live events, given the last published sequence.
+	// It runs under mu.
+	catchUp func(after, seq uint64) []T
+
+	mu     sync.Mutex
+	seq    uint64 // last published sequence
+	sealed bool
+	err    error               // terminal failure, set by seal
+	subs   map[chan T]struct{} // allocated by the first subscribe
+}
+
+// publish stamps the next sequence, builds the event with mk and fans
+// it out. mk runs under the feed's lock, so the owner records the event
+// for catch-up atomically with respect to subscribe. A sealed feed
+// ignores publish.
+func (f *feed[T]) publish(mk func(seq uint64) T) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.sealed {
+		return
+	}
+	f.seq++
+	ev := mk(f.seq)
+	for ch := range f.subs {
+		select {
+		case ch <- ev:
+		default: // lagging: cut off, it resumes from its cursor
+			close(ch)
+			delete(f.subs, ch)
+		}
+	}
+}
+
+// seal ends the feed: fin (may be nil) swaps the owner to its terminal
+// catch-up under the feed's lock, err (may be nil) is the stream's
+// terminal failure, and every subscriber's channel closes. Later
+// subscribers get the catch-up alone.
+func (f *feed[T]) seal(err error, fin func()) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.sealed {
+		return
+	}
+	if fin != nil {
+		fin()
+	}
+	f.sealed, f.err = true, err
+	for ch := range f.subs {
+		close(ch)
+	}
+	f.subs = nil
+}
+
+// subscribe registers a subscriber whose last received event is after
+// (0 for a fresh one). It returns the catch-up to send first and, while
+// the feed is live, a channel of later events with a cancel function;
+// the channel closes when the feed seals or the subscriber lags. A
+// sealed feed returns its catch-up, a nil channel and sealed set.
+func (f *feed[T]) subscribe(after uint64) (replay []T, live <-chan T, cancel func(), sealed bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	replay = f.catchUp(after, f.seq)
+	if f.sealed {
+		return replay, nil, func() {}, true
+	}
+	ch := make(chan T, f.depth)
+	if f.subs == nil {
+		f.subs = map[chan T]struct{}{}
+	}
+	f.subs[ch] = struct{}{}
+	return replay, ch, func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		delete(f.subs, ch)
+	}, false
+}
+
+// jobEvent is one entry of a job's lifecycle feed: a status snapshot
+// and its sequence. The submission snapshot is sequence 1 and every
+// transition adds one; the job keeps the whole history, so a
+// subscriber resuming from any cursor — after a dropped connection or
+// after lagging — replays exactly the events it missed: no gaps, no
+// duplicates.
 type jobEvent struct {
 	seq uint64
 	st  JobStatus
 }
 
-// recordEventLocked appends j's status st to its event history and
-// returns the stamped event. Callers hold m.mu.
-func (m *Manager) recordEventLocked(j *job, st JobStatus) jobEvent {
-	ev := jobEvent{seq: uint64(len(j.events)) + 1, st: st}
-	j.events = append(j.events, ev)
-	return ev
+// notifyLocked records j's current status as the next event of its
+// history and publishes it to the job's feed, sealing the feed once the
+// job is terminal. Callers hold m.mu.
+func (m *Manager) notifyLocked(j *job) {
+	st := m.statusLocked(j, j.state.Terminal())
+	record := func(seq uint64) jobEvent {
+		ev := jobEvent{seq: seq, st: st}
+		j.events = append(j.events, ev)
+		return ev
+	}
+	if j.feed == nil { // nobody has subscribed: the history is all there is
+		record(uint64(len(j.events)) + 1)
+		return
+	}
+	j.feed.publish(record)
+	if j.state.Terminal() {
+		j.feed.seal(nil, nil)
+	}
 }
 
-// Subscribe registers for the lifecycle events of a job caller may
-// see, after sequence afterSeq (0 replays everything). It returns the
-// missed events, a channel of subsequent ones, and an unsubscribe
-// function. The channel is closed after the terminal event
-// (immediately when the job is already terminal). Slow consumers never block the manager: events
-// beyond the channel buffer are dropped, and the SSE handler
-// resubscribes after close so the terminal state (and anything dropped
-// before it) is always delivered.
-func (m *Manager) Subscribe(caller Tenant, id string, afterSeq uint64) ([]jobEvent, <-chan jobEvent, func(), error) {
+// eventFeed returns the lifecycle feed of a job caller may see,
+// allocating it on the first subscription. The history recorded so far
+// becomes its catch-up; a terminal job's feed is sealed from the start.
+func (m *Manager) eventFeed(caller Tenant, id string) (*feed[jobEvent], error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j := m.visibleLocked(caller, id)
 	if j == nil {
-		return nil, nil, nil, ErrUnknownJob
+		return nil, ErrUnknownJob
 	}
-	var replay []jobEvent
-	for _, ev := range j.events {
-		if ev.seq > afterSeq {
-			replay = append(replay, ev)
-		}
+	if j.feed == nil {
+		// A job publishes at most a handful of transitions, so 16 never
+		// fills for a reader that keeps up.
+		j.feed = &feed[jobEvent]{depth: 16, catchUp: j.eventsAfter, seq: uint64(len(j.events)), sealed: j.state.Terminal()}
 	}
-	if j.state.Terminal() {
-		ch := make(chan jobEvent)
-		close(ch)
-		return replay, ch, func() {}, nil
-	}
-	ch := make(chan jobEvent, 16)
-	sub := j.nextSub
-	j.nextSub++
-	j.subs[sub] = ch
-	cancel := func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		delete(j.subs, sub) // sends happen under mu, so no racing close
-	}
-	return replay, ch, cancel, nil
+	return j.feed, nil
 }
 
-// notifyLocked records j's current status in its event history and fans
-// it out to subscribers, closing every channel when the state is
-// terminal. Callers hold m.mu.
-func (m *Manager) notifyLocked(j *job) {
-	ev := m.recordEventLocked(j, m.statusLocked(j, j.state.Terminal()))
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default: // slow consumer: drop; history replay covers the gap
-		}
+// eventsAfter is the lifecycle catch-up: the recorded history after
+// cursor after. Once j has a feed the history grows only under the
+// feed's lock, where this runs.
+func (j *job) eventsAfter(after, _ uint64) []jobEvent {
+	if after >= uint64(len(j.events)) {
+		return nil
 	}
-	if j.state.Terminal() {
-		for sub, ch := range j.subs {
-			close(ch)
-			delete(j.subs, sub)
-		}
-	}
+	return slices.Clone(j.events[after:])
 }
 
-// writeSSE emits one Server-Sent Event frame. data must not contain
+// statusFrame renders a lifecycle event as a "status" frame.
+func statusFrame(ev jobEvent) (uint64, string, any) { return ev.seq, "status", ev.st }
+
+// writeSSE emits one Server-Sent Event frame; seq 0 omits the id line
+// (the error and done frames carry none). data must not contain
 // newlines (our payloads are single-line JSON).
-func writeSSE(w io.Writer, event string, data []byte) error {
-	_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+func writeSSE(w io.Writer, seq uint64, event string, data []byte) error {
+	id := ""
+	if seq > 0 {
+		id = "id: " + strconv.FormatUint(seq, 10) + "\n"
+	}
+	_, err := fmt.Fprintf(w, "%sevent: %s\ndata: %s\n\n", id, event, data)
 	return err
 }
 
-// writeSSEID emits one Server-Sent Event frame carrying an event id,
-// the cursor browsers echo back in Last-Event-ID on reconnect.
-func writeSSEID(w io.Writer, id, event string, data []byte) error {
-	_, err := fmt.Fprintf(w, "id: %s\nevent: %s\ndata: %s\n\n", id, event, data)
-	return err
+// lastEventID parses the SSE resume cursor: the standard Last-Event-ID
+// header (browsers set it on reconnect), with a ?last_event_id= query
+// fallback for clients that cannot set headers.
+func lastEventID(r *http.Request) uint64 {
+	v := r.Header.Get("Last-Event-ID")
+	if v == "" {
+		v = r.URL.Query().Get("last_event_id")
+	}
+	n, _ := strconv.ParseUint(v, 10, 64)
+	return n
 }
 
-// handleJobEvents streams a job's lifecycle over SSE: a status event
-// per transition (id: the event sequence), then a final "done" event
-// once the job is terminal. Last-Event-ID (or ?last_event_id=) resumes
-// after the given sequence, replaying missed transitions from the
-// job's event history.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	id, t := r.PathValue("id"), caller(r)
-	last := lastEventID(r)
-	replay, ch, unsubscribe, err := s.manager.Subscribe(t, id, last)
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return
-	}
-	defer unsubscribe()
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("server: response writer cannot stream"))
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	lastState := JobState("")
-	send := func(ev jobEvent) bool {
-		blob, err := json.Marshal(ev.st)
+// serveSSE is the one SSE serving loop, for both job-scoped streams.
+// open resolves the request's job to its feed (any error is a 404);
+// frame renders an event as its id, frame name and JSON body. The loop
+// sends the catch-up, relays live events, and resubscribes from the
+// last delivered id whenever the channel closes — the feed sealed, or
+// this subscriber lagged. Once a subscription comes back sealed it
+// writes the feed's terminal failure as an "error" frame, if there is
+// one, and then "done". Last-Event-ID (or ?last_event_id=) resumes
+// after the given id.
+func serveSSE[T any](open func(caller Tenant, id string) (*feed[T], error), frame func(T) (uint64, string, any)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		f, err := open(caller(r), r.PathValue("id"))
 		if err != nil {
-			return false
-		}
-		if err := writeSSEID(w, strconv.FormatUint(ev.seq, 10), "status", blob); err != nil {
-			return false
-		}
-		flusher.Flush()
-		last = ev.seq
-		lastState = ev.st.State
-		return true
-	}
-	for _, ev := range replay {
-		if !send(ev) {
+			writeError(w, http.StatusNotFound, err)
 			return
 		}
-	}
-	for {
-		select {
-		case <-r.Context().Done():
+		flusher, ok := w.(http.Flusher)
+		if !ok {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("server: response writer cannot stream"))
 			return
-		case ev, open := <-ch:
-			if !open {
-				// Closed on the terminal transition. Replay anything a
-				// slow consumer dropped (including the terminal status
-				// itself) from the history, then signal completion.
-				if !lastState.Terminal() {
-					if missed, _, unsub, err := s.manager.Subscribe(t, id, last); err == nil {
-						unsub()
-						for _, ev := range missed {
-							if !send(ev) {
-								return
-							}
-						}
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		w.Header().Set("Cache-Control", "no-cache")
+		w.Header().Set("Connection", "keep-alive")
+		w.WriteHeader(http.StatusOK)
+		last := lastEventID(r)
+		send := func(ev T) bool {
+			seq, event, v := frame(ev)
+			blob, err := json.Marshal(v)
+			if err != nil || writeSSE(w, seq, event, blob) != nil {
+				return false
+			}
+			flusher.Flush()
+			last = seq
+			return true
+		}
+		// relay sends one subscription's events until its channel closes;
+		// false means the client is gone.
+		relay := func(replay []T, live <-chan T) bool {
+			for _, ev := range replay {
+				if !send(ev) {
+					return false
+				}
+			}
+			for live != nil {
+				select {
+				case <-r.Context().Done():
+					return false
+				case ev, open := <-live:
+					if !open {
+						return true
+					}
+					if !send(ev) {
+						return false
 					}
 				}
-				_ = writeSSE(w, "done", []byte("{}"))
-				flusher.Flush()
+			}
+			return true
+		}
+		for {
+			replay, live, cancel, sealed := f.subscribe(last)
+			ok := relay(replay, live)
+			cancel()
+			if !ok {
 				return
 			}
-			if ev.seq <= last {
-				continue // already delivered via replay
-			}
-			if !send(ev) {
-				return
+			if sealed {
+				break
 			}
 		}
+		// seal set err before sealing; the subscribe that saw the seal
+		// took the feed's lock after it.
+		if f.err != nil {
+			blob, _ := json.Marshal(apiError{Error: f.err.Error()})
+			_ = writeSSE(w, 0, "error", blob)
+		}
+		_ = writeSSE(w, 0, "done", []byte("{}"))
+		flusher.Flush()
 	}
 }

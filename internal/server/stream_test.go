@@ -123,8 +123,8 @@ func TestHTTPAnalysisStreamLiveMatchesFinal(t *testing.T) {
 	blocker := submitHTTP(t, d, JobSpec{Config: blockerCfg()})[0].ID
 	id := submitHTTP(t, d, JobSpec{Label: "live", Config: phaseCfg(430)})[0].ID
 
-	// Subscribe before the job starts running: the broker exists from
-	// submission, so this stream sees the whole run live.
+	// Subscribe before the job starts running: the analysis stream
+	// exists from submission, so this connection sees the whole run live.
 	s := openSSE(t, d.url("/v1/analysis/"+id+"/stream"), 0)
 	defer s.close()
 

@@ -62,18 +62,26 @@ race:
 	$(GO) test -race ./internal/memctrl ./internal/dram
 	$(GO) test -race ./internal/cache ./internal/core ./internal/cpu ./internal/prof
 
-# fuzz-smoke runs two short coverage-guided fuzz sessions (Go fuzzes
-# one target per run). FuzzReader covers the trace reader (malformed
-# lines, huge tokens, truncated files), pinning the wrapped-error line
-# attribution the daemon relies on when a 2 GB trace has one bad line.
-# FuzzEngines decodes bytes into bounded 1-8 core configs and demands
-# bit-identical Results from the event-driven engine and the reference
-# stepper, with both command streams protocol-checked. Crashers land in
-# each package's testdata/fuzz; commit them as regressions.
+# fuzz-smoke runs short coverage-guided fuzz sessions, one per target
+# (Go fuzzes one target per run). FuzzReader covers the trace reader
+# (malformed lines, huge tokens, truncated files), pinning the
+# wrapped-error line attribution the daemon relies on when a 2 GB trace
+# has one bad line. FuzzEngines decodes bytes into bounded 1-8 core
+# configs and demands bit-identical Results from the event-driven engine
+# and the reference stepper, with both command streams protocol-checked.
+# FuzzRowKeyRoundTrip demands row keys (how the HCRAC and the refresh
+# engine identify rows) round-trip and never collide; the BitSliceMapper
+# targets demand Map/Unmap be inverse over the addressable range, and
+# that an arbitrary field-order string be rejected or yield a mapper
+# that round-trips. Crashers land in each package's testdata/fuzz;
+# commit them as regressions.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReader -fuzztime=20s -run '^$$' ./internal/trace
 	$(GO) test -fuzz=FuzzEngines -fuzztime=20s -run '^$$' ./internal/sim
+	$(GO) test -fuzz='^FuzzRowKeyRoundTrip$$' -fuzztime=10s -run '^$$' ./internal/core
+	$(GO) test -fuzz='^FuzzBitSliceMapperRoundTrip$$' -fuzztime=10s -run '^$$' ./internal/memctrl
+	$(GO) test -fuzz='^FuzzBitSliceMapperOrders$$' -fuzztime=10s -run '^$$' ./internal/memctrl
 
 # gateway-e2e runs the multi-tenant fault-injection suite headlessly
 # under the race detector: the 3-tenant / 3-daemon campaign with a peer

@@ -187,7 +187,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	defer cancel()
 	code := 0
 	// Drain first: it rejects new submissions, cancels queued jobs and
-	// waits for running simulations, which also ends their SSE streams —
+	// waits for running simulations, ending every job's SSE streams —
 	// so the HTTP shutdown afterwards finds only idle connections.
 	if err := manager.Drain(shutdownCtx); err != nil {
 		fmt.Fprintf(stderr, "ccsimd: %v\n", err)

@@ -149,12 +149,6 @@ type LLC struct {
 	wbBacklogPeak int
 	now           int64
 
-	// stamp increments on every Access and Tick — the only operations
-	// that can move NextEvent. The event engine uses it to reuse its
-	// memory-event horizon across executed cycles without memory
-	// activity.
-	stamp uint64
-
 	// profiler, if set, attributes sampled wall-clock time to Access
 	// (see SetProfiler); profDiv converts the LLC's CPU clock to the
 	// profiler's bus-cycle domain.
@@ -282,7 +276,6 @@ func (c *LLC) Access(now int64, addr uint64, isWrite bool, coreID int, onDone fu
 		defer c.profiler.End(prof.LLCLookup, pt, now/c.profDiv)
 	}
 	c.now = now
-	c.stamp++
 	line := c.lineAddr(addr)
 	if isWrite {
 		return c.write(line, coreID)
@@ -409,10 +402,6 @@ func (c *LLC) touch(i int) {
 }
 
 func (c *LLC) enqueueWriteback(line uint64) {
-	// Writebacks can originate from a fill completing inside a
-	// controller tick (no Access/Tick of our own), and a rejected one
-	// schedules a next-cycle retry: stamp so cached horizons notice.
-	c.stamp++
 	c.stats.Writebacks++
 	if c.backend.WriteLine(line, -1) {
 		return
@@ -423,14 +412,9 @@ func (c *LLC) enqueueWriteback(line uint64) {
 	}
 }
 
-// Stamp returns a counter that changes whenever NextEvent may have
-// moved (any Access or Tick).
-func (c *LLC) Stamp() uint64 { return c.stamp }
-
 // Tick delivers due hit callbacks and retries backlogged writebacks.
 func (c *LLC) Tick(now int64) {
 	c.now = now
-	c.stamp++
 	for c.hitHead < len(c.hitQueue) && c.hitQueue[c.hitHead].at <= now {
 		h := c.hitQueue[c.hitHead]
 		c.hitQueue[c.hitHead].fn = nil

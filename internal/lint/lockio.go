@@ -18,8 +18,10 @@ import (
 //   - anything in net / net/http (dials, requests, response writes);
 //   - the project's own storage and fleet layers: sweep.Key and the
 //     sweep.Cache accessors that digest or persist (Key hashes trace
-//     files; Put/PutKeyed rewrite the snapshot), and every
-//     internal/client method (each one rides an *http.Client);
+//     files; Put/PutKeyed rewrite the snapshot), durable.File.Write
+//     (the snapshot writer behind the cache and the daemon's job
+//     journal), and every internal/client method (each one rides an
+//     *http.Client);
 //   - any function in the analyzed package that transitively reaches
 //     one of the above (intra-package propagation, so a helper like
 //     durable's publish taints its callers).
@@ -58,8 +60,8 @@ var ioSinkFuncs = map[string]map[string]bool{
 
 // projectSinks names project functions/methods that block on I/O, keyed
 // by "pkgpath.TypeName.Method" or "pkgpath.Func". sweep.Key digests
-// every referenced trace file; the Cache mutators rewrite the on-disk
-// snapshot; internal/client calls cross the network.
+// every referenced trace file; the Cache mutators and durable.File.Write
+// rewrite an on-disk snapshot; internal/client calls cross the network.
 var projectSinks = map[string]bool{
 	"repro/internal/sweep.Key":            true,
 	"repro/internal/sweep.OpenCache":      true,
@@ -67,6 +69,7 @@ var projectSinks = map[string]bool{
 	"repro/internal/sweep.Cache.Put":      true,
 	"repro/internal/sweep.Cache.PutKeyed": true,
 	"repro/internal/sweep.Cache.Snapshot": true,
+	"repro/internal/durable.File.Write":   true,
 }
 
 // clientPackages are project packages whose every *method* call is

@@ -15,9 +15,10 @@ import (
 // address only; the journal remembers which job IDs resolved to which
 // keys, so after a restart (or after retention pruning evicts the job
 // table entry) GET /v1/analysis/{id} and the stream endpoint still
-// resolve an old job ID to its cached report, the fleet /metrics
-// aggregates are rebuilt from the cached reports, and freshly issued
-// IDs never collide with journaled ones.
+// resolve an old job ID to its cached report, and the fleet /metrics
+// aggregates are rebuilt from the cached reports. The manager journals
+// every job that reaches a terminal state, cancels included, so after
+// a restart no such ID is issued again (maxID).
 //
 // All methods are safe on a nil receiver (a manager without a cache has
 // no journal) and the file is written atomically (durable.File), so a

@@ -32,6 +32,10 @@
 //     workers of one Fleet (fleet.go) behind one worker loop, so peer
 //     health, retries, hedging and poison quarantine follow the same
 //     rules as internal/dispatch campaigns,
+//   - one way to end: every terminal job passes settleLocked, which
+//     journals it (cancels too, so a restart never reissues an ID), and
+//     every flight, run or not, passes endFlightLocked, which frees its
+//     scheduler slot and seals its analysis stream,
 //   - graceful shutdown: Drain stops intake, cancels still-queued
 //     jobs, and waits for running simulations to finish.
 package server
@@ -41,9 +45,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -162,7 +168,7 @@ type flight struct {
 	label  string
 	cfg    sim.Config
 	jobs   []*job
-	state  JobState // queued or running
+	state  JobState // queued (picked or not), running, or how it ended
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -494,10 +500,8 @@ func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 		owners[i] = m.registry.Lookup(name)
 	}
 
-	// Journal writes do file I/O; this defer is registered before the
-	// unlock defer so it runs after the lock is released.
-	var recs []journalEntry
-	defer func() { m.journal.record(recs...) }()
+	var ended settlement
+	defer m.publish(&ended)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
@@ -598,17 +602,16 @@ func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 			}
 		}
 		need := m.sched.total + fresh - m.sched.capacity
-		victims := m.sched.preemptible(need, prio)
+		// Never a flight this batch attaches to: its job would never run.
+		victims := m.sched.preemptible(need, prio, func(f *flight) bool {
+			return slices.ContainsFunc(plans, func(p plan) bool { return p.flight == f })
+		})
 		if victims == nil {
 			return nil, ErrQueueFull
 		}
 		for _, v := range victims {
 			m.tenantCountersLocked(v.tenant).preempted++
-			for _, j := range v.jobs {
-				if !j.state.Terminal() {
-					m.cancelJobLocked(j, "preempted by a higher-priority submission")
-				}
-			}
+			m.endFlightLocked(&ended, v, canceled("preempted by a higher-priority submission"))
 		}
 	}
 
@@ -631,21 +634,13 @@ func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 
 		switch {
 		case plans[i].cached != nil:
-			j.state = StateDone
-			j.cached = true
-			j.finishedAt = now
-			j.result = plans[i].cached
-			m.countJobLocked(owner.Name, func(c *jobCounts) { c.completed++; c.cacheHits++ })
 			// The "cache" slot counts service, not production: the report
 			// was accumulated when the producing flight finished, so no
 			// analysis accumulate here.
 			ws := m.counters.worker("cache")
 			ws.flights++
 			ws.cacheHits++
-			recs = append(recs, journalEntry{
-				ID: j.id, Key: j.key, Label: j.label, Tenant: j.tenant,
-				State: StateDone, Worker: "cache", FinishedAt: now,
-			})
+			m.settleLocked(&ended, j, outcome{state: StateDone, worker: "cache", res: plans[i].cached, cached: true})
 		case plans[i].flight != nil:
 			m.attachLocked(j, plans[i].flight, owner)
 		default:
@@ -681,8 +676,11 @@ func (m *Manager) Submit(caller Tenant, specs []JobSpec) ([]JobStatus, error) {
 			m.qcond.Broadcast()
 		}
 		// Seed the event history with the submission snapshot, so SSE
-		// subscribers can replay the full lifecycle from sequence 1.
-		m.notifyLocked(j)
+		// subscribers can replay the full lifecycle from sequence 1. A
+		// cache hit's one event is the terminal status settle recorded.
+		if plans[i].cached == nil {
+			m.notifyLocked(j)
+		}
 		statuses[i] = m.statusLocked(j, true)
 	}
 	m.pruneLocked()
@@ -769,6 +767,8 @@ func (m *Manager) Jobs() []JobStatus { return m.ListJobs(Tenant{Gateway: true}, 
 // running one finishes (a single simulation cannot be interrupted) and
 // its result is still cached, but no canceled job flips back to done.
 func (m *Manager) Cancel(caller Tenant, id string) (JobStatus, error) {
+	var ended settlement
+	defer m.publish(&ended)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j := m.visibleLocked(caller, id)
@@ -778,43 +778,10 @@ func (m *Manager) Cancel(caller Tenant, id string) (JobStatus, error) {
 	if j.state.Terminal() {
 		return m.statusLocked(j, true), nil
 	}
-	m.cancelJobLocked(j, "canceled by client")
+	m.settleLocked(&ended, j, canceled("canceled by client"))
 	st := m.statusLocked(j, true)
 	m.pruneLocked()
 	return st, nil
-}
-
-// cancelJobLocked finalizes one job as canceled, dropping its flight
-// when it was the last live subscriber of a still-queued one.
-func (m *Manager) cancelJobLocked(j *job, reason string) {
-	j.state = StateCanceled
-	j.err = errors.New(reason)
-	j.finishedAt = time.Now()
-	m.countJobLocked(j.tenant, func(c *jobCounts) { c.canceled++ })
-	m.notifyLocked(j)
-	m.dropAbandonedLocked(j.flight)
-}
-
-// dropAbandonedLocked drops a still-queued flight none of whose jobs is
-// live: it leaves the dedup index (so later identical submissions start
-// fresh instead of attaching to a doomed flight), its context is
-// canceled so the simulation never starts, and its subqueue slot frees
-// immediately instead of tombstoning the bounded queue until a worker
-// skips it. A running flight is left alone: a single simulation cannot
-// be interrupted, and poisoning its context would fail jobs that attach
-// between now and its completion. Caller holds m.mu.
-func (m *Manager) dropAbandonedLocked(f *flight) {
-	if f == nil || f.state != StateQueued {
-		return
-	}
-	for _, j := range f.jobs {
-		if !j.state.Terminal() {
-			return
-		}
-	}
-	f.state = StateCanceled
-	m.dropFlightLocked(f)
-	m.sched.remove(f)
 }
 
 // DeadlineError rejects a submission at admission because its deadline
@@ -869,39 +836,20 @@ func (m *Manager) expireLoop() {
 // expireQueued fails every queued job whose deadline passed, dropping
 // flights left with no live subscribers from the queue entirely.
 func (m *Manager) expireQueued(now time.Time) {
-	var recs []journalEntry
+	var ended settlement
+	defer m.publish(&ended)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, id := range m.order {
 		j := m.jobs[id]
 		if j.state != StateQueued || j.deadline.IsZero() || now.Before(j.deadline) {
 			continue
 		}
-		recs = append(recs, m.failJobLocked(j, fmt.Errorf("%w: expired after %v queued", ErrDeadlineExceeded, now.Sub(j.submittedAt).Round(time.Millisecond)), ReasonDeadline, "", 0))
 		m.counters.deadlineExpired++
-		m.dropAbandonedLocked(j.flight)
+		m.settleLocked(&ended, j, outcome{state: StateFailed, err: fmt.Errorf("%w: expired after %v queued", ErrDeadlineExceeded, now.Sub(j.submittedAt).Round(time.Millisecond))})
 	}
-	if len(recs) > 0 {
+	if len(ended.recs) > 0 {
 		m.pruneLocked()
-	}
-	m.mu.Unlock()
-	m.journal.record(recs...)
-}
-
-// failJobLocked finalizes one job as failed with a machine-readable
-// reason and returns its journal entry; worker and elapsed name the
-// slot and run time of an executed flight ("" and 0 for a job failed
-// queue-side). The caller owns any flight cleanup. Caller holds m.mu.
-func (m *Manager) failJobLocked(j *job, err error, reason, worker string, elapsed time.Duration) journalEntry {
-	j.state = StateFailed
-	j.err = err
-	j.reason = reason
-	j.finishedAt = time.Now()
-	j.elapsed = elapsed
-	m.countJobLocked(j.tenant, func(c *jobCounts) { c.failed++ })
-	m.notifyLocked(j)
-	return journalEntry{
-		ID: j.id, Key: j.key, Label: j.label, Tenant: j.tenant,
-		State: StateFailed, Worker: worker, FinishedAt: j.finishedAt,
 	}
 }
 
@@ -910,8 +858,6 @@ func (m *Manager) failJobLocked(j *job, err error, reason, worker string, elapse
 func failureReason(err error) string {
 	var remoteErr *RemoteJobError
 	switch {
-	case err == nil:
-		return ""
 	case errors.Is(err, ErrDeadlineExceeded):
 		return ReasonDeadline
 	case errors.Is(err, ErrQuarantined):
@@ -925,7 +871,7 @@ func failureReason(err error) string {
 // nextFlight blocks until the scheduler has a startable flight,
 // returning ok=false once Drain closed the queue and nothing startable
 // remains. Picking accounts one running slot to the flight's tenant,
-// released by finishFlight (or startFlight when the flight is dead).
+// released when the flight ends (endFlightLocked).
 func (m *Manager) nextFlight() (*flight, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -956,49 +902,30 @@ func (m *Manager) worker() {
 }
 
 // startFlight moves a dequeued flight to running and reports whether it
-// should execute; a flight whose subscribers all canceled while it was
-// queued (or whose context died) is finalized instead.
+// should execute. A flight that ended between the pick and now — its
+// last live job canceled or expired, or Drain ended it — is skipped;
+// ending it already freed the pick's running slot.
 func (m *Manager) startFlight(f *flight) bool {
-	// Journal writes do file I/O; registered before the lock so it runs
-	// after the explicit unlocks below.
-	var recs []journalEntry
-	defer func() { m.journal.record(recs...) }()
+	var ended settlement
+	defer m.publish(&ended)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	// Deadline enforcement at the last queue-side moment: subscribers
 	// whose deadline passed while the flight waited fail fast instead of
 	// riding a simulation they can no longer use.
 	now := time.Now()
 	for _, j := range f.jobs {
 		if !j.state.Terminal() && !j.deadline.IsZero() && now.After(j.deadline) {
-			recs = append(recs, m.failJobLocked(j, fmt.Errorf("%w: expired before the simulation could start", ErrDeadlineExceeded), ReasonDeadline, "", 0))
 			m.counters.deadlineExpired++
+			m.settleLocked(&ended, j, outcome{state: StateFailed, err: fmt.Errorf("%w: expired before the simulation could start", ErrDeadlineExceeded)})
 		}
 	}
-	live := 0
-	for _, j := range f.jobs {
-		if !j.state.Terminal() {
-			live++
-		}
-	}
-	if live == 0 || f.ctx.Err() != nil {
-		// Every subscriber canceled while queued (or the manager is
-		// tearing down): skip the simulation. Finalize any straggler
-		// jobs so no subscriber waits on a flight that will never run.
-		for _, j := range f.jobs {
-			if !j.state.Terminal() {
-				m.cancelJobLocked(j, "canceled before the simulation started")
-			}
-		}
-		m.dropFlightLocked(f)
-		m.sched.release(f) // the pick's running slot, never used
-		m.qcond.Broadcast()
+	if f.state != StateQueued {
 		m.pruneLocked()
-		m.mu.Unlock()
 		return false
 	}
 	f.state = StateRunning
 	m.counters.running++
-	now = time.Now()
 	for _, j := range f.jobs {
 		if j.state == StateQueued {
 			j.state = StateRunning
@@ -1006,7 +933,6 @@ func (m *Manager) startFlight(f *flight) bool {
 			m.notifyLocked(j)
 		}
 	}
-	m.mu.Unlock()
 	return true
 }
 
@@ -1080,33 +1006,24 @@ func (m *Manager) flightSpec(f *flight) JobSpec {
 	return spec
 }
 
-// finishFlight completes every job attached to a started flight with
-// its outcome. worker names the slot that resolved the flight ("local"
-// or a peer) for the journal and the per-worker metrics; cached marks
+// finishFlight accounts a started flight's result and ends it with its
+// outcome. worker names the slot that resolved the flight ("local" or a
+// peer) for the journal and the per-worker metrics; cached marks
 // results served from a cache (this daemon's or the executing peer's);
 // remote marks executions that happened on a peer, counted separately
 // because the peer's own counters record the simulation.
 func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed time.Duration, cached, remote bool, err error) {
-	var recs []journalEntry
+	var ended settlement
+	defer m.publish(&ended)
 	m.mu.Lock()
-	m.counters.running--
-	m.dropFlightLocked(f)
-	m.sched.release(f)
-	// A finished flight frees capacity and (for capped tenants) a
-	// concurrency slot; wake waiting workers to re-pick.
-	m.qcond.Broadcast()
-	switch {
-	case err != nil:
+	defer m.mu.Unlock()
+	o := outcome{state: StateFailed, err: err, worker: worker, elapsed: elapsed}
+	if err != nil {
 		if errors.Is(err, ErrQuarantined) && f.key != "" {
 			m.quarantined[f.key] = err
 		}
-		reason := failureReason(err)
-		for _, j := range f.jobs {
-			if !j.state.Terminal() {
-				recs = append(recs, m.failJobLocked(j, err, reason, worker, elapsed))
-			}
-		}
-	default:
+	} else {
+		o.state, o.res, o.cached = StateDone, &res, cached
 		switch {
 		case cached:
 			// A flight-level resolution: global only, no owner share.
@@ -1135,42 +1052,116 @@ func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed
 			ws.cacheHits++
 		}
 		ws.accumulate(res.Analysis)
-		done := time.Now()
-		for _, j := range f.jobs {
-			if j.state.Terminal() {
-				continue
-			}
-			j.state = StateDone
-			j.cached = j.cached || cached
-			j.finishedAt = done
-			j.elapsed = elapsed
-			j.result = &res
-			m.countJobLocked(j.tenant, func(c *jobCounts) { c.completed++ })
-			m.notifyLocked(j)
-			recs = append(recs, journalEntry{
-				ID: j.id, Key: j.key, Label: j.label, Tenant: j.tenant,
-				State: StateDone, Worker: worker, FinishedAt: done,
-			})
-		}
 	}
+	m.endFlightLocked(&ended, f, o)
 	m.pruneLocked()
-	m.mu.Unlock()
-	// Stream seal and journal write happen outside m.mu: finish closes
-	// subscriber channels (the feed's lock) and record does file I/O.
-	if f.stream != nil {
-		f.stream.finish(res.Analysis, err)
-	}
-	m.journal.record(recs...)
 }
 
-// dropFlightLocked removes f from the dedup index so later identical
-// submissions hit the cache (or start fresh) instead of attaching to a
-// finished flight.
-func (m *Manager) dropFlightLocked(f *flight) {
+// outcome is how a job or flight ends: its terminal state and cause,
+// and what resolved it.
+type outcome struct {
+	state   JobState
+	err     error         // failure or cancel cause; nil when done
+	worker  string        // journaled slot: "local", "cache" or a peer; "" when it never ran
+	elapsed time.Duration // simulation wall clock
+	res     *sim.Result   // done only
+	cached  bool          // res came from a cache, this daemon's or a peer's
+}
+
+// canceled is the outcome of a job or flight canceled for cause.
+func canceled(cause string) outcome {
+	return outcome{state: StateCanceled, err: errors.New(cause)}
+}
+
+// settlement collects what ending jobs and flights leave for publish to
+// do once m.mu is released: journal entries (file I/O) and
+// analysis-stream seals (they take the feed's lock).
+type settlement struct {
+	recs  []journalEntry
+	seals []func()
+}
+
+// publish seals the ended flights' analysis streams and journals the
+// settled jobs. Caller does not hold m.mu.
+func (m *Manager) publish(ended *settlement) {
+	for _, seal := range ended.seals {
+		seal()
+	}
+	m.journal.record(ended.recs...)
+}
+
+// settleLocked is the one way a job ends: it moves j to o's terminal
+// state, counts it, publishes it to the lifecycle feed and queues its
+// journal entry — cancels too, so a restart never reissues an ID that
+// reached a terminal state. The last live job of a still-queued flight
+// (picked or not) ends the flight with o: it never runs. A running
+// flight is left alone: a simulation cannot be interrupted, and
+// poisoning its context would fail jobs that attach before it
+// completes. Caller holds m.mu.
+func (m *Manager) settleLocked(ended *settlement, j *job, o outcome) {
+	j.state, j.err, j.reason = o.state, o.err, failureReason(o.err)
+	j.finishedAt, j.elapsed, j.result, j.cached = time.Now(), o.elapsed, o.res, o.cached
+	m.countJobLocked(j.tenant, func(c *jobCounts) {
+		switch o.state {
+		case StateDone:
+			c.completed++
+			// A hit at submission; a flight a peer served from its cache
+			// counts once, globally, in finishFlight.
+			if o.worker == "cache" {
+				c.cacheHits++
+			}
+		case StateFailed:
+			c.failed++
+		default:
+			c.canceled++
+		}
+	})
+	m.notifyLocked(j)
+	ended.recs = append(ended.recs, journalEntry{
+		ID: j.id, Key: j.key, Label: j.label, Tenant: j.tenant,
+		State: o.state, Worker: o.worker, FinishedAt: j.finishedAt,
+	})
+	if f := j.flight; f != nil && f.state == StateQueued &&
+		!slices.ContainsFunc(f.jobs, func(j *job) bool { return !j.state.Terminal() }) {
+		m.endFlightLocked(ended, f, o)
+	}
+}
+
+// endFlightLocked is the one way a flight ends, whether it ran or not.
+// In order: it leaves the dedup index (later identical submissions hit
+// the cache or start fresh instead of attaching to it), its context is
+// canceled, its scheduler slot frees, its live jobs settle with o, and
+// its analysis stream is sealed with o's report or cause once m.mu is
+// released. Callers end only queued or running flights; each ends
+// once. Caller holds m.mu.
+func (m *Manager) endFlightLocked(ended *settlement, f *flight, o outcome) {
 	if f.key != "" && m.flights[f.key] == f {
 		delete(m.flights, f.key)
 	}
 	f.cancel()
+	if f.state == StateRunning {
+		m.counters.running--
+	}
+	// A queued flight frees its subqueue entry; a picked one (running,
+	// or dequeued by nextFlight and not yet started) the pick's running
+	// slot. Either way capacity opened up: wake waiting workers.
+	if !m.sched.remove(f) {
+		m.sched.release(f)
+	}
+	m.qcond.Broadcast()
+	f.state = o.state
+	for _, j := range f.jobs {
+		if !j.state.Terminal() {
+			m.settleLocked(ended, j, o)
+		}
+	}
+	if stream := f.stream; stream != nil {
+		var rep *analysis.Report
+		if o.res != nil {
+			rep = o.res.Analysis
+		}
+		ended.seals = append(ended.seals, func() { stream.finish(rep, o.err) })
+	}
 }
 
 // pruneLocked evicts the oldest terminal jobs beyond the retention
@@ -1203,14 +1194,15 @@ func (m *Manager) pruneLocked() {
 // are awaited until ctx expires. It is idempotent; concurrent calls
 // all block until the drain completes.
 func (m *Manager) Drain(ctx context.Context) error {
+	var ended settlement
 	m.mu.Lock()
 	if !m.draining {
 		m.draining = true
 		// Walk jobs, not the dedup index: key-less (uncacheable)
-		// flights never enter m.flights but must be canceled too.
-		for _, j := range m.jobs {
-			if !j.state.Terminal() && j.flight != nil && j.flight.state == StateQueued {
-				m.cancelJobLocked(j, "server shutting down")
+		// flights never enter m.flights but must be ended too.
+		for _, id := range m.order {
+			if j := m.jobs[id]; !j.state.Terminal() && j.flight.state == StateQueued {
+				m.endFlightLocked(&ended, j.flight, canceled("server shutting down"))
 			}
 		}
 		// Submit holds mu and checks draining, so no racing push;
@@ -1219,6 +1211,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		m.qcond.Broadcast()
 	}
 	m.mu.Unlock()
+	m.publish(&ended)
 
 	done := make(chan struct{})
 	go func() {

@@ -170,15 +170,15 @@ func (q *schedQueue) deactivate(s *tenantSub) {
 }
 
 // preemptible returns up to need queued flights of classes strictly
-// below priority, lowest class first and newest arrival first within a
-// class — the flights a higher-priority submission may preempt when
-// the queue is full. Returns nil when fewer than need exist (partial
-// preemption would cancel work without making room).
-func (q *schedQueue) preemptible(need, priority int) []*flight {
+// below priority that spare does not protect, lowest class first and
+// newest arrival first within a class — the flights a higher-priority
+// submission may preempt when the queue is full. Returns nil when fewer
+// than need exist (partial preemption would cancel work without room).
+func (q *schedQueue) preemptible(need, priority int, spare func(*flight) bool) []*flight {
 	var victims []*flight
 	for _, s := range q.subs {
 		for _, f := range s.flights {
-			if f.priority < priority {
+			if f.priority < priority && !spare(f) {
 				victims = append(victims, f)
 			}
 		}

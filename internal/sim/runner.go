@@ -250,10 +250,6 @@ func (s *System) runUntilStepper(target uint64, capCycles int64) ([]int64, bool)
 // it, and the others apply their skipped cycles in bulk when a Step, a
 // load data return or the final Settle touches them.
 func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) {
-	if s.memCtrlWake == nil {
-		s.memCtrlWake = make([]int64, len(s.ctrls))
-	}
-	s.memDirty = true
 	n := len(s.cores)
 	doneAt := make([]int64, n)
 	remaining := n
@@ -304,7 +300,6 @@ func (s *System) runUntilEvents(target uint64, capCycles int64) ([]int64, bool) 
 				ctrl.SyncClock(bus)
 				if ctrl.NeedsTick(bus) {
 					ctrl.Tick(bus)
-					s.memDirty = true
 				}
 			}
 		}
@@ -341,29 +336,18 @@ func (s *System) nextCycle(capCycles int64) int64 {
 	if next <= now {
 		return now
 	}
-	// The component estimates move only when the LLC was accessed or
-	// ticked (its stamp) or a controller ticked (memDirty) — enqueues
-	// always ride an LLC access — so executed cycles without memory
-	// activity reuse the horizon snapshot wholesale. A snapshot taken
-	// while a controller had fresh arrivals can only be earlier than
-	// the live estimate, which at worst wakes a no-op cycle.
-	if stamp := s.llc.Stamp(); s.memDirty || stamp != s.memStamp {
-		s.memStamp = stamp
-		s.memDirty = false
-		s.memLLCWake = s.llc.NextEvent()
-		for i, ctrl := range s.ctrls {
-			s.memCtrlWake[i] = int64(ctrl.NextEvent())
-		}
-	}
-	if e := s.memLLCWake; e < next {
+	// Both estimates are cheap to read live: the LLC's is O(1) and the
+	// controller caches its own scan until its state changes.
+	if e := s.llc.NextEvent(); e < next {
 		next = e
 	}
 	ratio := int64(s.cfg.ClockRatio)
-	for _, ev := range s.memCtrlWake {
-		if ev >= int64(dram.NoEvent) {
+	for _, ctrl := range s.ctrls {
+		ev := ctrl.NextEvent()
+		if ev >= dram.NoEvent {
 			continue
 		}
-		w := ev * ratio
+		w := int64(ev) * ratio
 		if w < now {
 			// Overdue relative to a stale controller clock: the next
 			// bus-aligned cycle is the earliest it can be serviced.

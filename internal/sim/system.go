@@ -97,14 +97,6 @@ type System struct {
 	// event-driven engine skips the rest. Diagnostic for benchmarks
 	// (ExecutedCycles); always equals nowCPU under the stepper.
 	execCycles int64
-
-	// Memory-event horizon snapshot for nextCycle:
-	// the LLC and controller wake-ups, valid while the LLC stamp
-	// matches and no controller ticked (memDirty).
-	memStamp    uint64
-	memDirty    bool
-	memLLCWake  int64
-	memCtrlWake []int64
 }
 
 // ExecutedCycles reports how many cycles the engine executed component
